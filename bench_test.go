@@ -179,9 +179,9 @@ func BenchmarkIntersectMrays(b *testing.B) {
 }
 
 // BenchmarkTracePhotons measures single-thread end-to-end photon tracing
-// per bundled scene through core.Run — emission, octree traversal,
-// scattering and forest tallies, nothing parallel — so the photons/s column
-// isolates the per-photon cost the flattened hot path optimizes.
+// per bundled scene through core.Run — the serial engine's core.Wave:
+// emission, octree traversal, scattering and forest tallies, nothing
+// parallel — so the photons/s column isolates the per-photon cost.
 func BenchmarkTracePhotons(b *testing.B) {
 	for _, name := range benchScenes {
 		b.Run(name, func(b *testing.B) {
@@ -195,31 +195,6 @@ func BenchmarkTracePhotons(b *testing.B) {
 				cfg := core.DefaultConfig(photonsPerIter)
 				cfg.Seed = int64(i + 1)
 				if _, err := core.Run(sc, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(photonsPerIter)*float64(b.N)/b.Elapsed().Seconds(), "photons/s")
-		})
-	}
-}
-
-// BenchmarkTraceWavefront is BenchmarkTracePhotons on the batched
-// wavefront path: same scenes, same photon counts, one thread — the
-// difference between the two photons/s metrics is the pure batching gain
-// the trajectory's wavefront-speedup rows track.
-func BenchmarkTraceWavefront(b *testing.B) {
-	for _, name := range benchScenes {
-		b.Run(name, func(b *testing.B) {
-			sc, err := SceneByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const photonsPerIter = 20000
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(photonsPerIter)
-				cfg.Seed = int64(i + 1)
-				if _, err := core.RunWavefront(sc, cfg, core.DefaultWaveSize); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -292,48 +267,11 @@ func sizeName(n int) string {
 	}
 }
 
-// BenchmarkSharedContention is the hot-path guard for the buffered shared
-// engine: the seed's locked path (every tally behind the owning tree's
-// write lock, static leapfrog partitioning) against the buffered path
-// (private per-worker buffers, work-stealing chunks, in-order merge) at
-// 1, 4 and 8 workers on the Cornell Box. The buffered path must win where
-// the paper predicts lock contention dominates; photons/sec per
-// sub-benchmark makes the ratio directly readable. Numbers are recorded in
-// DESIGN.md.
-func BenchmarkSharedContention(b *testing.B) {
-	sc, err := SceneByName("cornell-box")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const photonsPerIter = 20000
-	paths := []struct {
-		name string
-		run  func(*scenes.Scene, shared.Config) (*core.Result, error)
-	}{
-		{"locked", shared.RunLocked},
-		{"buffered", shared.Run},
-	}
-	for _, p := range paths {
-		for _, workers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s-w%d", p.name, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := p.run(sc, shared.Config{
-						Core: core.DefaultConfig(photonsPerIter), Workers: workers,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(photonsPerIter)*float64(b.N)/b.Elapsed().Seconds(), "photons/s")
-			})
-		}
-	}
-}
-
 // --- View-stage (tile renderer + server) benchmarks ---
 
 // BenchmarkRenderWorkers measures the tile-parallel viewer at 1/4/8
 // workers over one answer: the stage-two counterpart of
-// BenchmarkSharedContention. The image is bit-identical at every worker
+// BenchmarkParallelScaling. The image is bit-identical at every worker
 // count (pinned by TestRenderWorkerConformance), so the comparison is
 // purely throughput; pixels/s makes the scaling directly readable.
 func BenchmarkRenderWorkers(b *testing.B) {
@@ -425,13 +363,6 @@ func BenchmarkAblationLockStriping(b *testing.B) {
 	b.Run("serial-no-locks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Run(sc, core.DefaultConfig(20000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shared-1worker-locked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := shared.RunLocked(sc, shared.Config{Core: core.DefaultConfig(20000), Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -116,7 +116,7 @@ func main() {
 
 // engineSweep drives every engine through the uniform interface and
 // reports real wall-clock throughput at several worker counts — the
-// companion to BenchmarkSharedContention for quick host characterization.
+// companion to BenchmarkParallelScaling for quick host characterization.
 // With metricsPath set, every run is instrumented and the collected
 // span/metric reports are written as one JSON document.
 func engineSweep(sceneName string, photons int64, metricsPath string) error {
@@ -427,28 +427,14 @@ func perfJSON(photons int64, sceneSet []string) error {
 		}
 		add("octree-intersect", name, float64(cast)/time.Since(start).Seconds()/1e6, "Mrays/s")
 
-		// Serial and wavefront runs interleaved, best-of-5 each (the same
-		// best-of idiom as octree-build above): the two rates feed the
-		// wavefront-speedup ratio, and at this photon count a run lasts
-		// only a few hundred milliseconds — short enough that host drift
-		// between two back-to-back measurement blocks would swamp the
-		// ratio. Interleaving exposes both paths to the same drift;
-		// best-of strips the scheduler's bad draws. The wavefront runs
-		// are the same workload on one thread, so the speedup row is
-		// pure batching gain (packet traversal amortization), no
-		// parallelism involved.
-		var serialRate, waveRate float64
+		// Best-of-5 (the same idiom as octree-build above): at this photon
+		// count a run lasts a few hundred milliseconds, and best-of strips
+		// the scheduler's bad draws. core.Run traces through the wavefront
+		// tracer at its default width, one thread.
+		var waveRate float64
 		for i := 0; i < 5; i++ {
 			start = time.Now()
 			res, err := core.Run(sc, core.DefaultConfig(photons))
-			if err != nil {
-				return err
-			}
-			if r := float64(res.Stats.PhotonsEmitted) / time.Since(start).Seconds(); r > serialRate {
-				serialRate = r
-			}
-			start = time.Now()
-			res, err = core.RunWavefront(sc, core.DefaultConfig(photons), core.DefaultWaveSize)
 			if err != nil {
 				return err
 			}
@@ -456,9 +442,7 @@ func perfJSON(photons int64, sceneSet []string) error {
 				waveRate = r
 			}
 		}
-		add("trace-serial", name, serialRate, "photons/s")
 		add("trace-wavefront", name, waveRate, "photons/s")
-		add("wavefront-speedup", name, waveRate/serialRate, "x")
 
 		if isTrajectoryScene(name) {
 			if err := scalingSweep(sc, name, photons, addScaling); err != nil {

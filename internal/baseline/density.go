@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/scenes"
 	"repro/internal/vecmath"
 )
@@ -35,7 +34,8 @@ type DensityResult struct {
 }
 
 // TraceDensity runs the particle-tracing phase: the same transport physics
-// as Photon, but recording raw hits instead of histogramming them.
+// and the same photons as a Photon run at this seed, but recording raw
+// hits instead of histogramming them.
 func TraceDensity(sc *scenes.Scene, photons int64, seed int64) (*DensityResult, error) {
 	cfg := core.DefaultConfig(photons)
 	cfg.Seed = seed
@@ -44,18 +44,15 @@ func TraceDensity(sc *scenes.Scene, photons int64, seed int64) (*DensityResult, 
 		return nil, err
 	}
 	res := &DensityResult{PerPatch: make([]int64, len(sc.Geom.Patches))}
-	stream := rng.New(seed)
 	var stats core.Stats
-	for i := int64(0); i < photons; i++ {
-		sim.TracePhotonFunc(stream, &stats, func(t core.Tally) {
-			res.Hits = append(res.Hits, HitPoint{
-				Patch: t.Patch,
-				S:     float32(t.Point.S), T: float32(t.Point.T),
-				Power: float32(t.Power.R+t.Power.G+t.Power.B) / 3,
-			})
-			res.PerPatch[t.Patch]++
+	core.NewWave(sim, 0).Trace(0, photons, &stats, func(t core.Tally) {
+		res.Hits = append(res.Hits, HitPoint{
+			Patch: t.Patch,
+			S:     float32(t.Point.S), T: float32(t.Point.T),
+			Power: float32(t.Power.R+t.Power.G+t.Power.B) / 3,
 		})
-	}
+		res.PerPatch[t.Patch]++
+	})
 	res.FileBytes = int64(len(res.Hits)) * HitPointBytes
 	return res, nil
 }

@@ -108,8 +108,11 @@ type Result struct {
 	EmittedPhotons int64
 }
 
-// Simulator traces photons for one scene. Not safe for concurrent use; the
-// parallel engines build one per worker.
+// Simulator traces photons for one scene. After construction it is only
+// read — EmitPhoton, Interact and TracePhotonFunc keep every piece of
+// mutable state in the caller's stream, stats and deliver — so one
+// Simulator is safe to share across goroutines. The batched tracer built
+// on it is not: keep one Wave per goroutine.
 type Simulator struct {
 	scene   *scenes.Scene
 	emitter *emitter.Emitter
@@ -137,28 +140,44 @@ func (s *Simulator) Config() Config { return s.cfg }
 
 // Run executes the full simulation serially and returns the answer forest.
 func Run(scene *scenes.Scene, cfg Config) (*Result, error) {
-	return RunProgress(scene, cfg, nil)
+	return RunProgress(scene, cfg, 0, nil)
 }
 
-// RunProgress is Run with a streaming completion callback: progress (which
-// may be nil) is invoked from the simulating goroutine with the photons
-// finished so far and the total, at a coarse cadence.
-func RunProgress(scene *scenes.Scene, cfg Config, progress func(done, total int64)) (*Result, error) {
+// RunWavefront is Run at an explicit wavefront width: batch photons per
+// Wave batch (0 selects DefaultWaveSize). The answer is bit-identical at
+// every width; only throughput changes.
+func RunWavefront(scene *scenes.Scene, cfg Config, batch int) (*Result, error) {
+	return RunProgress(scene, cfg, batch, nil)
+}
+
+// RunProgress is RunWavefront with a streaming completion callback:
+// progress (which may be nil) is invoked from the simulating goroutine with
+// the photons finished so far and the total — at most once per 4096
+// photons, and once at the end.
+func RunProgress(scene *scenes.Scene, cfg Config, batch int, progress func(done, total int64)) (*Result, error) {
+	const progressEvery = 4096
 	sim, err := NewSimulator(scene, cfg)
 	if err != nil {
 		return nil, err
 	}
 	forest := bintree.NewForestSectioned(len(scene.Geom.Patches), sim.cfg.Sections, sim.cfg.Bin)
-	const progressEvery = 4096
 	var stats Stats
-	for i := int64(0); i < cfg.Photons; i++ {
-		sim.TracePhoton(PhotonStream(sim.cfg.Seed, i), forest, &stats)
-		if progress != nil && (i+1)%progressEvery == 0 {
-			progress(i+1, cfg.Photons)
+	deliver := func(t Tally) {
+		if forest.Add(int(t.Patch), t.Point, t.Power) {
+			stats.BinSplits++
 		}
 	}
-	if progress != nil && cfg.Photons%progressEvery != 0 {
-		progress(cfg.Photons, cfg.Photons)
+	w := NewWave(sim, batch)
+	// Report on whole batches: the smallest multiple of the wave width at
+	// or above progressEvery.
+	step := (progressEvery + int64(w.size) - 1) / int64(w.size) * int64(w.size)
+	total := sim.cfg.Photons
+	for lo := int64(0); lo < total; lo += step {
+		hi := min(lo+step, total)
+		w.Trace(lo, hi, &stats, deliver)
+		if progress != nil {
+			progress(hi, total)
+		}
 	}
 	return &Result{
 		Scene: scene, Forest: forest, Stats: stats,
@@ -168,21 +187,11 @@ func RunProgress(scene *scenes.Scene, cfg Config, progress func(done, total int6
 
 // Tally is one bin update: the reflected (or emitted) photon's destination
 // bin and power. The distributed engine routes Tally values between ranks;
-// the serial engine applies them immediately.
+// the serial engine applies them as each batch flushes.
 type Tally struct {
 	Patch int32
 	Point bintree.Point
 	Power bintree.RGB
-}
-
-// TracePhoton emits one photon and traces it to absorption, applying every
-// tally to forest and updating stats. This is the exact Figure 4.1 loop.
-func (s *Simulator) TracePhoton(stream *rng.Source, forest *bintree.Forest, stats *Stats) {
-	s.TracePhotonFunc(stream, stats, func(t Tally) {
-		if forest.Add(int(t.Patch), t.Point, t.Power) {
-			stats.BinSplits++
-		}
-	})
 }
 
 // Flight is a photon's in-flight state between surface interactions. The
@@ -255,9 +264,11 @@ func (s *Simulator) Interact(stream *rng.Source, f *Flight, h *geom.Hit, stats *
 	return true
 }
 
-// TracePhotonFunc is TracePhoton with tally delivery abstracted: the
-// distributed engine queues tallies for the owning rank instead of applying
-// them locally (Figure 5.3's EnQueue path).
+// TracePhotonFunc emits one photon and traces it to absorption, handing
+// every tally to deliver and updating stats. This is the exact Figure 4.1
+// loop, one photon at a time. The engines trace through Wave, which
+// delivers the same tallies in the same order; this per-photon form is the
+// reference the conformance tests hold them to.
 func (s *Simulator) TracePhotonFunc(stream *rng.Source, stats *Stats, deliver func(Tally)) {
 	f := s.EmitPhoton(stream, stats, deliver)
 	var h geom.Hit

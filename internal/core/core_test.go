@@ -261,9 +261,10 @@ func BenchmarkTracePhotonQuickstart(b *testing.B) {
 	forest := bintree.NewForest(len(s.Geom.Patches), bintree.DefaultConfig())
 	stream := rng.New(1)
 	var stats Stats
+	deliver := func(t Tally) { forest.Add(int(t.Patch), t.Point, t.Power) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.TracePhoton(stream, forest, &stats)
+		sim.TracePhotonFunc(stream, &stats, deliver)
 	}
 }
 
@@ -279,8 +280,9 @@ func BenchmarkTracePhotonCornell(b *testing.B) {
 	forest := bintree.NewForest(len(s.Geom.Patches), bintree.DefaultConfig())
 	stream := rng.New(1)
 	var stats Stats
+	deliver := func(t Tally) { forest.Add(int(t.Patch), t.Point, t.Power) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.TracePhoton(stream, forest, &stats)
+		sim.TracePhotonFunc(stream, &stats, deliver)
 	}
 }

@@ -4,27 +4,25 @@
 package core
 
 import (
-	"repro/internal/bintree"
 	"repro/internal/geom"
 	"repro/internal/rng"
-	"repro/internal/scenes"
 	"repro/internal/vecmath"
 )
 
 // DefaultWaveSize is the photons per wavefront batch when a caller leaves
-// the width unset. Wide enough that the octree's packet traversal amortizes
-// node fetches over many rays, narrow enough that a batch's flight state,
-// hit records and staged tallies stay cache-resident.
+// the width unset. Wide enough to amortize the per-round bookkeeping over
+// many rays, narrow enough that a batch's flight state, hit records and
+// staged tallies stay cache-resident.
 const DefaultWaveSize = 64
 
-// Wave traces photons in SoA batches: origins, directions, throughputs and
-// per-photon substream states live in parallel slices, a whole batch is
-// emitted at once, and each bounce round intersects every still-flying
-// photon through the octree's packet traversal before any photon advances
-// to its next bounce (a wavefront, not a per-photon depth-first walk).
-// Between rounds the active set is compacted — absorbed, escaped and
-// bounce-capped photons drop out — and regrouped by octree root region so
-// rays that will prune to the same subtrees sit adjacent in the packet.
+// Wave is the photon tracer every engine but geo runs: it traces photons in
+// SoA batches. Origins, directions, throughputs and per-photon substream
+// states live in parallel slices, a whole batch is emitted at once, and
+// each bounce round intersects every still-flying photon through the
+// octree's packet entry point before any photon advances to its next
+// bounce (a wavefront, not a per-photon depth-first walk).
+// Between rounds the active set is compacted in place — absorbed, escaped
+// and bounce-capped photons drop out.
 //
 // Bit-identity with the per-photon path is part of the contract, not an
 // aspiration:
@@ -32,16 +30,16 @@ const DefaultWaveSize = 64
 //   - each photon's randomness comes from its private (seed, index)
 //     substream, drawn in the same order (emission, then one scatter per
 //     bounce) no matter how rounds interleave photons;
-//   - the packet traversal returns bit-identical hits to the scalar one
-//     (see geom.IntersectPacket);
+//   - the packet entry point runs each ray through the same octree walk as
+//     the scalar Intersect (see geom.Octree.IntersectPacket);
 //   - tallies are staged with their photon slot and flushed in slot order
 //     via a stable counting sort, so the forest receives every deposit in
-//     exactly the per-photon engine's order regardless of compaction or
-//     regrouping.
+//     exactly the per-photon engine's order regardless of how rounds
+//     interleave photons.
 //
-// A Wave is not safe for concurrent use; parallel engines keep one per
-// worker. All working storage is retained between batches, so steady-state
-// tracing performs no allocations.
+// A Wave is not safe for concurrent use; keep one per goroutine (they may
+// share one Simulator). All working storage is retained between batches,
+// so steady-state tracing performs no allocations.
 type Wave struct {
 	sim  *Simulator
 	size int
@@ -54,9 +52,8 @@ type Wave struct {
 	polar      []float64
 	bounces    []int32
 
-	// Active-slot list plus the regrouping double buffer.
-	active, regroup []int32
-	regionOf        []int8
+	// Active-slot list: the slots still flying, in slot order.
+	active []int32
 
 	// Packet traversal I/O, indexed by wave position (not slot).
 	packet  geom.RayPacket
@@ -108,8 +105,6 @@ func (w *Wave) grow(n int) {
 	w.polar = make([]float64, n)
 	w.bounces = make([]int32, n)
 	w.active = make([]int32, 0, n)
-	w.regroup = make([]int32, n)
-	w.regionOf = make([]int8, n)
 	w.hits = make([]geom.Hit, n)
 	w.found = make([]bool, n)
 	w.slotOff = make([]int32, n+1)
@@ -119,7 +114,7 @@ func (w *Wave) grow(n int) {
 // wave's size, updating stats and delivering every tally in photon-index
 // order (each photon's tallies in emission-then-bounce order, photons in
 // ascending index order) — the exact order TracePhotonFunc delivers when
-// called per photon.
+// called per photon with PhotonStream(seed, i).
 func (w *Wave) Trace(lo, hi int64, stats *Stats, deliver func(Tally)) {
 	for batchLo := lo; batchLo < hi; batchLo += int64(w.size) {
 		batchHi := batchLo + int64(w.size)
@@ -153,10 +148,8 @@ func (w *Wave) traceBatch(lo, hi int64, stats *Stats, deliver func(Tally)) {
 	}
 
 	// Bounce rounds: intersect the whole active set as one packet, then
-	// interact each photon, compact survivors, regroup, repeat.
+	// interact each photon, compact survivors, repeat.
 	for len(w.active) > 0 {
-		w.regroupByRegion()
-
 		w.packet.Reset()
 		for _, slot := range w.active {
 			w.packet.Append(vecmath.Ray{
@@ -218,40 +211,6 @@ func (w *Wave) loadFlight(slot int) Flight {
 	}
 }
 
-// regroupByRegion stably reorders the active list by the octree root region
-// of each photon's current origin (region -1, outside the root bounds,
-// sorts first). Divergence control only: rays entering the same root octant
-// traverse the same subtrees, so grouping them keeps the packet walk's
-// active subsets — and therefore its SoA gathers — dense. Results cannot
-// depend on this order: per-photon randomness is private and the flush
-// sorts tallies back to slot order.
-func (w *Wave) regroupByRegion() {
-	// Tiny tails: with only a handful of photons still flying, the packet
-	// walk's working set fits in cache regardless of order, so the counting
-	// sort would cost more than the locality it buys.
-	if len(w.active) <= 16 {
-		return
-	}
-	oct := w.sim.scene.Geom.Octree()
-	var count [9]int32
-	for _, slot := range w.active {
-		r := int8(oct.RegionOf(vecmath.Vec3{X: w.ox[slot], Y: w.oy[slot], Z: w.oz[slot]}))
-		w.regionOf[slot] = r
-		count[r+1]++
-	}
-	var off [9]int32
-	for b := 1; b < 9; b++ {
-		off[b] = off[b-1] + count[b-1]
-	}
-	dst := w.regroup[:len(w.active)]
-	for _, slot := range w.active {
-		b := w.regionOf[slot] + 1
-		dst[off[b]] = slot
-		off[b]++
-	}
-	w.active = append(w.active[:0], dst...)
-}
-
 // flush delivers the batch's staged tallies in slot order. The counting
 // sort is stable, so within one slot the staged order — emission first,
 // then bounce by bounce — survives; across slots ascending order restores
@@ -282,45 +241,4 @@ func (w *Wave) flush(n int, deliver func(Tally)) {
 	for i := range sorted {
 		deliver(sorted[i])
 	}
-}
-
-// RunWavefront executes the full simulation serially on the batched
-// wavefront path and returns the answer forest. It is the drop-in batched
-// counterpart of Run: for any batch size the forest and statistics are
-// bit-identical to Run's (the wavefront conformance tests pin this), only
-// the traversal schedule — and the throughput — differ.
-func RunWavefront(scene *scenes.Scene, cfg Config, batch int) (*Result, error) {
-	return RunWavefrontProgress(scene, cfg, batch, nil)
-}
-
-// RunWavefrontProgress is RunWavefront with a streaming completion
-// callback, invoked after each batch.
-func RunWavefrontProgress(scene *scenes.Scene, cfg Config, batch int, progress func(done, total int64)) (*Result, error) {
-	sim, err := NewSimulator(scene, cfg)
-	if err != nil {
-		return nil, err
-	}
-	forest := bintree.NewForestSectioned(len(scene.Geom.Patches), sim.cfg.Sections, sim.cfg.Bin)
-	var stats Stats
-	deliver := func(t Tally) {
-		if forest.Add(int(t.Patch), t.Point, t.Power) {
-			stats.BinSplits++
-		}
-	}
-	w := NewWave(sim, batch)
-	total := sim.cfg.Photons
-	for lo := int64(0); lo < total; lo += int64(w.size) {
-		hi := lo + int64(w.size)
-		if hi > total {
-			hi = total
-		}
-		w.traceBatch(lo, hi, &stats, deliver)
-		if progress != nil {
-			progress(hi, total)
-		}
-	}
-	return &Result{
-		Scene: scene, Forest: forest, Stats: stats,
-		EmittedPhotons: stats.PhotonsEmitted,
-	}, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bintree"
 	"repro/internal/scenes"
 )
 
@@ -21,18 +22,36 @@ func waveScenes(t *testing.T) map[string]*scenes.Scene {
 	}
 }
 
+// perPhotonRun is the reference answer: a plain TracePhotonFunc loop over
+// PhotonStream(seed, i), applying each tally to the forest as it arrives.
+func perPhotonRun(t *testing.T, s *scenes.Scene, cfg Config) *Result {
+	t.Helper()
+	sim, err := NewSimulator(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.Config()
+	forest := bintree.NewForestSectioned(len(s.Geom.Patches), c.Sections, c.Bin)
+	var stats Stats
+	for i := int64(0); i < c.Photons; i++ {
+		sim.TracePhotonFunc(PhotonStream(c.Seed, i), &stats, func(tl Tally) {
+			if forest.Add(int(tl.Patch), tl.Point, tl.Power) {
+				stats.BinSplits++
+			}
+		})
+	}
+	return &Result{Scene: s, Forest: forest, Stats: stats, EmittedPhotons: stats.PhotonsEmitted}
+}
+
 // TestRunWavefrontBitIdentical pins the tentpole contract at the core layer:
-// for every batch size, the wavefront runner's stats and forest fingerprint
-// equal the per-photon Run's exactly.
+// for every batch size (0 is Run's default), the runner's stats and forest
+// fingerprint equal the per-photon reference's exactly.
 func TestRunWavefrontBitIdentical(t *testing.T) {
 	for name, s := range waveScenes(t) {
 		cfg := DefaultConfig(4000)
 		cfg.Seed = 99
-		want, err := Run(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range []int{1, 16, 64, 256} {
+		want := perPhotonRun(t, s, cfg)
+		for _, batch := range []int{0, 1, 16, 64, 256} {
 			got, err := RunWavefront(s, cfg, batch)
 			if err != nil {
 				t.Fatal(err)
@@ -174,13 +193,9 @@ func TestWaveReuseAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestRegroupingDeterminism pins the satellite requirement directly: region
-// regrouping is a traversal-order optimization and must not reorder tally
-// application. A wave with regrouping (the only build) must deliver the
-// same sequence regardless of batch geometry — compare two different batch
-// sizes tally-for-tally, which both equal the per-photon order by the tests
-// above, and additionally check BinSplits (the only stat sensitive to
-// delivery order) through the full runner.
+// TestRegroupingDeterminism pins that batch geometry never reorders tally
+// application: the full runner at several widths must agree on BinSplits
+// (the only stat sensitive to delivery order) and on the forest.
 func TestRegroupingDeterminism(t *testing.T) {
 	s := quickScene(t)
 	cfg := DefaultConfig(3000)
@@ -201,5 +216,32 @@ func TestRegroupingDeterminism(t *testing.T) {
 		if got.Forest.Fingerprint() != base.Forest.Fingerprint() {
 			t.Fatalf("batch %d: fingerprint diverges across batch geometries", batch)
 		}
+	}
+}
+
+// TestWaveTraceAllocatesNothing pins the steady state: once a Wave and its
+// consumer have grown to a batch's size, tracing further batches performs
+// no heap allocation — per-photon substreams are seated in place, not
+// built by PhotonStream.
+func TestWaveTraceAllocatesNothing(t *testing.T) {
+	s := quickScene(t)
+	sim, err := NewSimulator(s, DefaultConfig(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWave(sim, DefaultWaveSize)
+	var stats Stats
+	var tallies int
+	deliver := func(Tally) { tallies++ }
+	lo := int64(0)
+	trace := func() {
+		w.Trace(lo, lo+DefaultWaveSize, &stats, deliver)
+		lo += DefaultWaveSize
+	}
+	for i := 0; i < 200; i++ { // warm-up: grow staging to the longest batch seen
+		trace()
+	}
+	if n := testing.AllocsPerRun(100, trace); n != 0 {
+		t.Fatalf("Wave.Trace: %v allocs per batch in steady state, want 0", n)
 	}
 }

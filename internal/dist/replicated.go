@@ -133,16 +133,15 @@ func Run(scene *scenes.Scene, cfg Config) (*Result, error) {
 // prePhaseWeights traces cfg.PrePhotons photons into a scratch forest and
 // returns the per-section photon counts the packer will balance. The
 // scratch tallies are discarded: the pre-phase estimates load only, so the
-// main run still emits exactly Core.Photons.
+// main run still emits exactly Core.Photons. It samples the exact prefix
+// of the main run's photon stream, so the load estimate is of the photons
+// actually traced.
 func prePhaseWeights(sim *core.Simulator, nPatches int, cfg Config, binCfg bintree.Config) []int64 {
 	scratch := bintree.NewForestSectioned(nPatches, cfg.Sections, binCfg)
-	seed := sim.Config().Seed
 	var st core.Stats
-	for i := int64(0); i < cfg.PrePhotons; i++ {
-		// The pre-phase samples the exact prefix of the main run's photon
-		// stream, so the load estimate is of the photons actually traced.
-		sim.TracePhoton(core.PhotonStream(seed, i), scratch, &st)
-	}
+	core.NewWave(sim, 0).Trace(0, cfg.PrePhotons, &st, func(t core.Tally) {
+		scratch.Add(int(t.Patch), t.Point, t.Power)
+	})
 	return scratch.PhotonCounts()
 }
 
@@ -169,14 +168,14 @@ type rankHooks struct {
 }
 
 // runRank is one rank's whole life: trace its cyclic share of the global
-// photon chunks round by round, exchange tallies after every round and
-// apply them in rank (= photon) order, then take part in the final gather.
+// photon chunks round by round through one per-rank core.Wave, exchange
+// tallies after every round and apply them in rank (= photon) order, then
+// take part in the final gather.
 func runRank(c mpi.Communicator, sim *core.Simulator, cfg Config, owners []int,
 	rounds int, binCfg bintree.Config, hooks rankHooks,
 ) (*bintree.Forest, RankStats, core.Stats, error) {
 	me := c.Rank()
 	size := c.Size()
-	seed := sim.Config().Seed
 	photons := sim.Config().Photons
 	batch := int64(cfg.BatchSize)
 	nPatches := sim.Scene().Geom.Patches
@@ -228,28 +227,31 @@ func runRank(c mpi.Communicator, sim *core.Simulator, cfg Config, owners []int,
 		}
 		rs.TalliesApplied++
 	}
+	// Foreign tallies per destination; owned tallies buffered so they can
+	// be applied at this rank's slot in the round's rank order. route is
+	// the Wave's deliver: it sees the chunk's tallies in photon order.
+	var outbox [][]core.Tally
+	var mine []core.Tally
+	route := func(t core.Tally) {
+		unit := forest.UnitOf(int(t.Patch), t.Point)
+		if owner := owners[unit]; owner == me {
+			mine = append(mine, t)
+		} else {
+			outbox[owner] = append(outbox[owner], t)
+			rs.TalliesForwarded++
+		}
+	}
+	wave := core.NewWave(sim, 0)
 
 	for round := startRound; round < rounds; round++ {
 		// This round's chunk for this rank: global chunk round*size+me.
 		chunk := int64(round)*int64(size) + int64(me)
 		lo := chunk * batch
 		hi := min(photons, lo+batch)
-		// Foreign tallies per destination; owned tallies buffered so they
-		// can be applied at this rank's slot in the round's rank order.
 		traceSpan := spanObs.StartSpan("simulate/round/trace")
-		outbox := make([][]core.Tally, size)
-		var mine []core.Tally
-		for i := lo; i < hi; i++ {
-			sim.TracePhotonFunc(core.PhotonStream(seed, i), &st, func(t core.Tally) {
-				unit := forest.UnitOf(int(t.Patch), t.Point)
-				if owner := owners[unit]; owner == me {
-					mine = append(mine, t)
-				} else {
-					outbox[owner] = append(outbox[owner], t)
-					rs.TalliesForwarded++
-				}
-			})
-		}
+		outbox = make([][]core.Tally, size)
+		mine = nil
+		wave.Trace(lo, hi, &st, route)
 		traceSpan.End()
 		if hi > lo {
 			rs.PhotonsTraced += hi - lo

@@ -29,9 +29,9 @@ type Photon struct {
 	Bounces int
 }
 
-// Emitter generates photons for a scene. It is not safe for concurrent use;
-// parallel engines construct one per worker (they are cheap) sharing the
-// scene.
+// Emitter generates photons for a scene. Generate only reads it — all
+// randomness comes from the caller's stream — so one Emitter is safe to
+// share across goroutines after New returns.
 type Emitter struct {
 	scene *geom.Scene
 	// cumulative power table for luminaire selection

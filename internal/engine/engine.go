@@ -43,9 +43,9 @@ type Config struct {
 	// ChunkSize is the shared engine's work-stealing chunk granularity
 	// (0 = default).
 	ChunkSize int64
-	// BatchSize is the photons per batch: the shared engine's wavefront
-	// width (photons traced through the octree as one packet) or the
-	// distributed engines' photons per exchange round (0 = engine
+	// BatchSize is the photons per batch: the serial and shared engines'
+	// wavefront width (photons traced abreast through one core.Wave) or
+	// the distributed engines' photons per exchange round (0 = engine
 	// default). Results are bit-identical at every batch size.
 	BatchSize int
 	// Balance selects the replicated-distributed forest-ownership strategy.

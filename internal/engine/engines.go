@@ -92,7 +92,7 @@ func (serialEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
 	if cfg.Obs.Enabled() {
 		start = time.Now()
 	}
-	res, err := core.RunProgress(scene, cfg.Core, cfg.Progress)
+	res, err := core.RunProgress(scene, cfg.Core, cfg.BatchSize, cfg.Progress)
 	span.End()
 	if err != nil {
 		return nil, err

@@ -225,15 +225,17 @@ func Fig54Memory(maxPhotons int64) (*Result, error) {
 		return nil, err
 	}
 	forest := bintree.NewForest(len(sc.Geom.Patches), bintree.DefaultConfig())
-	stream := rng.New(1)
+	deliver := func(t core.Tally) { forest.Add(int(t.Patch), t.Point, t.Power) }
+	wave := core.NewWave(sim, 0)
 	var st core.Stats
 	const points = 24
 	var xs, ys []float64
 	step := maxPhotons / points
 	for k := int64(0); k < points; k++ {
-		for i := int64(0); i < step; i++ {
-			sim.TracePhoton(stream, forest, &st)
-		}
+		// Photons [k·step, (k+1)·step) on their own PhotonStream substreams:
+		// each point is the forest of the first (k+1)·step photons of a
+		// core.Run at this seed.
+		wave.Trace(k*step, (k+1)*step, &st, deliver)
 		xs = append(xs, float64((k+1)*step))
 		ys = append(ys, float64(forest.MemoryBytes())/1e6)
 	}

@@ -27,10 +27,8 @@ func DefaultOctreeConfig() OctreeConfig {
 	return OctreeConfig{MaxDepth: 10, LeafTarget: 8}
 }
 
-// maxOctreeDepth caps MaxDepth. The iterative traversal's stack holds at
-// most 8 entries for the root's children plus a net 7 per level of descent,
-// so depth ≤ 30 keeps the worst case (8 + 7·30 = 218) inside the fixed
-// 256-entry stack with margin.
+// maxOctreeDepth caps MaxDepth so the traversal's fixed-size stack (see
+// traversalStack) can never overflow.
 const maxOctreeDepth = 30
 
 // parallelBuildCutoff is the item count above which a node's eight child
@@ -200,62 +198,113 @@ func (o *Octree) Stats() (nodes, leaves, depth int) {
 	return o.nodeCount, o.leafCount, o.depth
 }
 
-// traversalStack bounds the DFS stack: 8 root children plus a net 7 pushes
-// per level of descent, with depth clamped to maxOctreeDepth (see above).
-const traversalStack = 256
+// traversalStack bounds the walk's DFS stack. Each interior visit pops one
+// entry and pushes at most eight, so a walk through interior nodes down to
+// depth maxOctreeDepth−1 holds at most 8 + 7·(maxOctreeDepth−1) = 211
+// entries.
+const traversalStack = 8 * maxOctreeDepth
 
 // Intersect finds the closest hit along r within (tMin, tMax) using ordered
 // front-to-back traversal, so descent terminates as soon as a hit closer
 // than the next cell's entry distance is known.
-//
-// The traversal is iterative over the flat node slice with an explicit
-// fixed-size stack. Children are pushed far-to-near so the nearest pops
-// first; because octants form a regular grid, front-to-back order among the
-// (at most four) sibling cells a ray can pass through is exactly ascending
-// child ^ signMask, where signMask collects the ray direction's sign bits —
-// no per-node sorting. A popped cell whose entry distance exceeds the best
-// hit so far is discarded unvisited.
 func (o *Octree) Intersect(r vecmath.Ray, tMin, tMax float64, h *Hit) bool {
-	inv := vecmath.Vec3{X: 1 / r.Dir.X, Y: 1 / r.Dir.Y, Z: 1 / r.Dir.Z}
-	rootT0, _, ok := o.nodes[0].bounds.IntersectRayInv(r.Origin, inv, tMin, tMax)
-	if !ok {
-		return false
-	}
+	var stack [traversalStack]int32
+	return o.walk(r, 1/r.Dir.X, 1/r.Dir.Y, 1/r.Dir.Z, tMin, tMax, h, &stack)
+}
+
+// walk is the octree's one traversal loop; Intersect and IntersectPacket
+// both run every ray through it. (ix, iy, iz) is the ray's reciprocal
+// direction, computed once per ray by the caller.
+//
+// The walk is iterative over the flat node slice with an explicit int32
+// node stack. Children are pushed far-to-near so the nearest pops first;
+// because octants form a regular grid, front-to-back order among the (at
+// most four) sibling cells a ray can pass through is exactly ascending
+// child ^ signMask, where signMask collects the ray direction's sign bits —
+// no per-node sorting. Each cell's slab test runs once, at pop time,
+// against the best hit found so far, so a cell entered beyond it is
+// discarded unvisited.
+//
+// The slab test is AABB.IntersectRayInv's compare-and-swap arithmetic in
+// the same order, inlined by hand (the Go inliner balks at its size) and
+// reduced to the boolean: t0 only grows and t1 only shrinks as axes fold
+// in, so "t0 > t1 after any axis" decides the final comparison. NaN
+// comparisons (a ray starting exactly on a slab plane of an axis-parallel
+// direction) are all false and leave t0/t1 untouched, as in the full test.
+// Testing at pop time against the then-current best is the same decision
+// as a push-time slab test followed by a pop-time entry-distance check:
+// t0 is clamped to tMin only and never depends on the upper bound, so the
+// two checks combine to exactly "t0 ≤ min(far planes, best at pop)".
+func (o *Octree) walk(r vecmath.Ray, ix, iy, iz, tMin, tMax float64, h *Hit, stack *[traversalStack]int32) bool {
+	ox, oy, oz := r.Origin.X, r.Origin.Y, r.Origin.Z
 	var signMask int32
-	if inv.X < 0 {
+	if ix < 0 {
 		signMask |= 1
 	}
-	if inv.Y < 0 {
+	if iy < 0 {
 		signMask |= 2
 	}
-	if inv.Z < 0 {
+	if iz < 0 {
 		signMask |= 4
 	}
-
-	type stackEntry struct {
-		t0   float64
-		node int32
-	}
-	var stack [traversalStack]stackEntry
-	stack[0] = stackEntry{t0: rootT0, node: 0}
-	sp := 1
-
 	best := tMax
 	found := false
+	stack[0] = 0
+	sp := 1
 	for sp > 0 {
 		sp--
-		e := stack[sp]
-		if e.t0 > best {
-			continue // entered beyond the best hit; every patch inside is too
+		nd := &o.nodes[stack[sp]]
+		b := &nd.bounds
+		t0, t1 := tMin, best
+		near := (b.Min.X - ox) * ix
+		far := (b.Max.X - ox) * ix
+		if near > far {
+			near, far = far, near
 		}
-		n := &o.nodes[e.node]
-		if n.child < 0 {
+		if near > t0 {
+			t0 = near
+		}
+		if far < t1 {
+			t1 = far
+		}
+		if t0 > t1 {
+			continue
+		}
+		near = (b.Min.Y - oy) * iy
+		far = (b.Max.Y - oy) * iy
+		if near > far {
+			near, far = far, near
+		}
+		if near > t0 {
+			t0 = near
+		}
+		if far < t1 {
+			t1 = far
+		}
+		if t0 > t1 {
+			continue
+		}
+		near = (b.Min.Z - oz) * iz
+		far = (b.Max.Z - oz) * iz
+		if near > far {
+			near, far = far, near
+		}
+		if near > t0 {
+			t0 = near
+		}
+		if far < t1 {
+			t1 = far
+		}
+		if t0 > t1 {
+			continue
+		}
+		if nd.child < 0 {
 			// Patch.Intersect writes h only on success, so h doubles as the
 			// running best without a temporary. A patch stored in this leaf
 			// may be hit outside the leaf's cell (patches span cells); that
 			// is fine — best only shrinks, and correctness never depends on
 			// the hit being inside this cell.
-			for _, idx := range o.items[n.start : n.start+n.count] {
+			for _, idx := range o.items[nd.start : nd.start+nd.count] {
 				if o.patches[idx].Intersect(r, tMin, best, h) {
 					best = h.T
 					found = true
@@ -263,19 +312,15 @@ func (o *Octree) Intersect(r vecmath.Ray, tMin, tMax float64, h *Hit) bool {
 			}
 			continue
 		}
-		// Push children far-to-near: descending k visits ascending
-		// (k ^ signMask) entry order when popped.
+		// Push children far-to-near: descending k pops in ascending
+		// (k ^ signMask) entry order. Empty leaves are skipped unpushed.
 		for k := int32(7); k >= 0; k-- {
-			ci := n.child + (k ^ signMask)
+			ci := nd.child + (k ^ signMask)
 			c := &o.nodes[ci]
 			if c.child < 0 && c.count == 0 {
 				continue
 			}
-			t0, _, ok := c.bounds.IntersectRayInv(r.Origin, inv, tMin, best)
-			if !ok {
-				continue
-			}
-			stack[sp] = stackEntry{t0: t0, node: ci}
+			stack[sp] = ci
 			sp++
 		}
 	}

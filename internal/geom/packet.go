@@ -11,10 +11,8 @@ import (
 
 // RayPacket is a structure-of-arrays bundle of rays traced together through
 // the octree. Origins, directions and reciprocal directions live in parallel
-// slices so the packet traversal's inner loops — one child AABB against many
-// rays — read each coordinate stream sequentially instead of striding over
-// an array of Ray structs, and the reciprocals are computed once per ray per
-// wave rather than once per Intersect call.
+// slices, and the reciprocals are computed once per ray per wave rather than
+// once per Intersect call.
 type RayPacket struct {
 	Ox, Oy, Oz []float64 // origins
 	Dx, Dy, Dz []float64 // directions
@@ -55,370 +53,27 @@ func (p *RayPacket) Ray(i int) vecmath.Ray {
 	}
 }
 
-// PacketScratch holds the reusable working state of IntersectPacket: the
-// per-ray best-hit distances, the sign-group buckets, and the active-list
-// arena the recursive walk carves child subsets from. One scratch serves
-// any number of packets sequentially; callers keep it alongside their
-// RayPacket so a full simulation performs no traversal allocations after
-// the first wave.
+// PacketScratch holds IntersectPacket's DFS stack. Kept beside the packet
+// and reused, it spares every ray the zeroing a fresh local stack costs
+// (Octree.Intersect pays it once per call).
 type PacketScratch struct {
-	best  []float64
-	group [8][]int32
-	arena []int32
-	stack [8 * maxOctreeDepth]int32 // packetWalkOne's DFS stack, kept here so it is never re-zeroed
-}
-
-// ensure sizes the per-ray state for n rays.
-func (s *PacketScratch) ensure(n int) {
-	if cap(s.best) < n {
-		s.best = make([]float64, n)
-	}
-	s.best = s.best[:n]
-	if s.arena == nil {
-		s.arena = make([]int32, 0, 8*n)
-	}
-	s.arena = s.arena[:0]
-	for k := range s.group {
-		s.group[k] = s.group[k][:0]
-	}
+	stack [traversalStack]int32
 }
 
 // IntersectPacket finds, for every ray in the packet, the closest hit within
-// (tMin, tMax), writing hits[i]/found[i] per ray. It is the wavefront entry
-// point of the octree: the whole batch descends together, so each visited
-// node is fetched once per packet instead of once per ray, and each child's
-// bounds stay register-resident across the inner loop over candidate rays.
-//
-// The results are bit-identical to calling the scalar Intersect per ray —
-// same hits, same ties, same float rounding — which is what lets the batched
-// wavefront engines share the conformance contract. The equivalence is
-// structural, not approximate:
-//
-//   - Rays are grouped by direction sign mask; within one group the scalar
-//     traversal's stack discipline (children pushed far-to-near, popped
-//     nearest-first, subtrees completed before later siblings) visits nodes
-//     in exactly preorder DFS with children ascending in (k ^ signMask) —
-//     an order independent of the individual ray. The packet walk descends
-//     in that same order, so each ray tests leaf patches in exactly the
-//     sequence its scalar traversal would.
-//   - The scalar path culls a child twice: a slab test against the best hit
-//     at push time, and an entry-distance check against the (possibly
-//     smaller) best at pop time. Because IntersectRayInv clamps t0 to tMin
-//     only — t0 never depends on tMax — those two checks combine to exactly
-//     "slab test against the best at pop time", which is the single test
-//     the packet walk performs at descend time.
-//   - Per (ray, patch) test the same Patch.Intersect runs with the same
-//     tMin/best bounds, so the running best evolves identically.
+// (tMin, tMax), writing hits[i]/found[i] per ray. Each ray runs through the
+// same walk as Octree.Intersect, in packet order, so the results are
+// bit-identical to calling Intersect per ray. The wavefront tracer calls it
+// once per bounce round with its whole active set.
 func (o *Octree) IntersectPacket(p *RayPacket, tMin, tMax float64, hits []Hit, found []bool, s *PacketScratch) {
-	n := p.n
-	s.ensure(n)
-	for i := 0; i < n; i++ {
-		s.best[i] = tMax
-		found[i] = false
-	}
-
-	// With the tail walk handling every width (see tailWidth), dispatch
-	// rays in packet order: the wavefront tracer has regrouped the batch by
-	// octree region, so consecutive rays revisit the same subtree while its
-	// nodes are still cache-hot, and the sign-group bucketing pass is
-	// skipped entirely.
-	if tailWidth >= n {
-		for i := int32(0); i < int32(n); i++ {
-			var mask int32
-			if p.Ix[i] < 0 {
-				mask |= 1
-			}
-			if p.Iy[i] < 0 {
-				mask |= 2
-			}
-			if p.Iz[i] < 0 {
-				mask |= 4
-			}
-			o.packetWalkOne(0, i, mask, tMin, p, hits, found, s)
-		}
-		return
-	}
-
-	// Bucket rays by direction sign mask: the traversal order within the
-	// octree is a pure function of the mask, so rays sharing one descend as
-	// a single packet. Bucket fill order follows packet order, which the
-	// wavefront tracer has already regrouped by octree region — rays likely
-	// to prune to the same subtrees sit adjacent in every active list.
-	for i := 0; i < n; i++ {
-		var mask int32
-		if p.Ix[i] < 0 {
-			mask |= 1
-		}
-		if p.Iy[i] < 0 {
-			mask |= 2
-		}
-		if p.Iz[i] < 0 {
-			mask |= 4
-		}
-		s.group[mask] = append(s.group[mask], int32(i))
-	}
-
-	root := &o.nodes[0]
-	for mask := int32(0); mask < 8; mask++ {
-		g := s.group[mask]
-		if len(g) == 0 {
-			continue
-		}
-		if len(g) <= tailWidth {
-			for _, ri := range g {
-				o.packetWalkOne(0, ri, mask, tMin, p, hits, found, s)
-			}
-			continue
-		}
-		// Root filter: the scalar path tests the root box against the full
-		// (tMin, tMax) range; best[i] still equals tMax here.
-		s.arena = s.arena[:0]
-		for _, ri := range g {
-			if slabHitInv(&root.bounds, p.Ox[ri], p.Oy[ri], p.Oz[ri],
-				p.Ix[ri], p.Iy[ri], p.Iz[ri], tMin, s.best[ri]) {
-				s.arena = append(s.arena, ri)
-			}
-		}
-		if len(s.arena) <= tailWidth {
-			for _, ri := range s.arena {
-				o.packetWalkOne(0, ri, mask, tMin, p, hits, found, s)
-			}
-		} else {
-			o.packetWalk(0, s.arena, mask, tMin, p, hits, found, s)
-		}
-	}
-}
-
-// tailWidth is the active-list width at or below which the traversal
-// switches from the grouped packet walk to per-ray tail walks. Per-ray
-// outcomes never depend on packet grouping (each ray carries its own
-// running best), so this is purely a throughput knob; the wavefront
-// conformance matrix holds at any value. Measured on the trajectory
-// scenes, the tail walk — origin and reciprocal pinned in registers,
-// boolean-only early-exit slab tests, no arena traffic — wins at every
-// width this octree's node cache residency allows, so the default routes
-// all rays through it; the grouped walk remains the entry structure for
-// hosts where node fetches are the bottleneck.
-const tailWidth = 1 << 20
-
-// slabHitInv reports exactly the hit result of AABB.IntersectRayInv — the
-// same compare-and-swap slab arithmetic in the same order — but computes
-// only the boolean the packet traversal needs. The scalar traversal cannot
-// drop the entry distance (its deferred pop-time check consumes t0); the
-// packet walk's single visit-time test can, which licenses the per-axis
-// early exit: t0 only grows and t1 only shrinks as axes fold in, so "t0 >
-// t1 after any axis" decides the final comparison. NaN comparisons (a ray
-// starting exactly on a slab plane of an axis-parallel direction) are all
-// false, leaving t0/t1 untouched — identical to the full test.
-func slabHitInv(b *vecmath.AABB, ox, oy, oz, ix, iy, iz, tMin, tMax float64) bool {
-	t0, t1 := tMin, tMax
-
-	near := (b.Min.X - ox) * ix
-	far := (b.Max.X - ox) * ix
-	if near > far {
-		near, far = far, near
-	}
-	if near > t0 {
-		t0 = near
-	}
-	if far < t1 {
-		t1 = far
-	}
-	if t0 > t1 {
-		return false
-	}
-
-	near = (b.Min.Y - oy) * iy
-	far = (b.Max.Y - oy) * iy
-	if near > far {
-		near, far = far, near
-	}
-	if near > t0 {
-		t0 = near
-	}
-	if far < t1 {
-		t1 = far
-	}
-	if t0 > t1 {
-		return false
-	}
-
-	near = (b.Min.Z - oz) * iz
-	far = (b.Max.Z - oz) * iz
-	if near > far {
-		near, far = far, near
-	}
-	if near > t0 {
-		t0 = near
-	}
-	if far < t1 {
-		t1 = far
-	}
-	return t0 <= t1
-}
-
-// packetWalkOne traverses one subtree for a single ray — the divergence
-// tail, where packets thin out to lone rays and the group machinery would
-// cost more than it amortizes. The ray's origin and reciprocal stay in
-// locals for the whole walk, and the explicit stack replaces recursion.
-//
-// Visit order and outcomes are bit-identical to packetWalk with a 1-ray
-// active list: children are pushed far-to-near (k descending in
-// k^signMask), so the nearest-by-order child pops first and its whole
-// subtree completes before the next sibling — preorder DFS ascending in
-// (k ^ signMask) — and the slab test runs at pop time, which is exactly
-// the recursive walk's descend-time test against the then-current best.
-func (o *Octree) packetWalkOne(node, ri, signMask int32, tMin float64, p *RayPacket, hits []Hit, found []bool, s *PacketScratch) {
-	ox, oy, oz := p.Ox[ri], p.Oy[ri], p.Oz[ri]
-	ix, iy, iz := p.Ix[ri], p.Iy[ri], p.Iz[ri]
-	r := vecmath.Ray{
-		Origin: vecmath.Vec3{X: ox, Y: oy, Z: oz},
-		Dir:    vecmath.Vec3{X: p.Dx[ri], Y: p.Dy[ri], Z: p.Dz[ri]},
-	}
-	best := s.best[ri]
-	hitAny := found[ri]
-
-	// The DFS stack lives in the scratch so it is not re-zeroed per call,
-	// and the slab test is inlined by hand (slabHitInv's exact arithmetic;
-	// the Go inliner balks at its size) so the whole walk runs on locals.
-	stack := &s.stack
-	stack[0] = node
-	sp := 1
-	for sp > 0 {
-		sp--
-		nd := &o.nodes[stack[sp]]
-		b := &nd.bounds
-		t0, t1 := tMin, best
-		near := (b.Min.X - ox) * ix
-		far := (b.Max.X - ox) * ix
-		if near > far {
-			near, far = far, near
-		}
-		if near > t0 {
-			t0 = near
-		}
-		if far < t1 {
-			t1 = far
-		}
-		if t0 > t1 {
-			continue
-		}
-		near = (b.Min.Y - oy) * iy
-		far = (b.Max.Y - oy) * iy
-		if near > far {
-			near, far = far, near
-		}
-		if near > t0 {
-			t0 = near
-		}
-		if far < t1 {
-			t1 = far
-		}
-		if t0 > t1 {
-			continue
-		}
-		near = (b.Min.Z - oz) * iz
-		far = (b.Max.Z - oz) * iz
-		if near > far {
-			near, far = far, near
-		}
-		if near > t0 {
-			t0 = near
-		}
-		if far < t1 {
-			t1 = far
-		}
-		if t0 > t1 {
-			continue
-		}
-		if nd.child < 0 {
-			for _, idx := range o.items[nd.start : nd.start+nd.count] {
-				if o.patches[idx].Intersect(r, tMin, best, &hits[ri]) {
-					best = hits[ri].T
-					hitAny = true
-				}
-			}
-			continue
-		}
-		base := nd.child
-		for k := int32(7); k >= 0; k-- {
-			ci := base + (k ^ signMask)
-			c := &o.nodes[ci]
-			if c.child < 0 && c.count == 0 {
-				continue
-			}
-			stack[sp] = ci
-			sp++
-		}
-	}
-	s.best[ri] = best
-	found[ri] = hitAny
-}
-
-// packetWalk descends one subtree with the subset of rays still interested
-// in it. active lives in s.arena; child subsets are appended behind it and
-// truncated after each child's descent, so the arena holds exactly the
-// active lists of the current DFS path (≤ depth·n entries). Reallocation
-// during a deeper descent is harmless: parent frames keep reading their
-// slice into the old backing array and re-anchor on s.arena afterwards.
-func (o *Octree) packetWalk(node int32, active []int32, signMask int32, tMin float64, p *RayPacket, hits []Hit, found []bool, s *PacketScratch) {
-	nd := &o.nodes[node]
-	if nd.child < 0 {
-		// Leaf: each ray tests the leaf's patches in slab order — the same
-		// ascending order, against the same running best, as the scalar
-		// loop. hits[ri] doubles as ray ri's running best record.
-		for _, ri := range active {
-			r := p.Ray(int(ri))
-			best := s.best[ri]
-			hitAny := false
-			for _, idx := range o.items[nd.start : nd.start+nd.count] {
-				if o.patches[idx].Intersect(r, tMin, best, &hits[ri]) {
-					best = hits[ri].T
-					hitAny = true
-				}
-			}
-			if hitAny {
-				s.best[ri] = best
-				found[ri] = true
-			}
-		}
-		return
-	}
-	base := nd.child
-	for k := int32(0); k < 8; k++ {
-		ci := base + (k ^ signMask)
-		c := &o.nodes[ci]
-		if c.child < 0 && c.count == 0 {
-			continue // empty leaf: skipped before any slab test, as in scalar
-		}
-		mark := len(s.arena)
-		for _, ri := range active {
-			if slabHitInv(&c.bounds, p.Ox[ri], p.Oy[ri], p.Oz[ri],
-				p.Ix[ri], p.Iy[ri], p.Iz[ri], tMin, s.best[ri]) {
-				s.arena = append(s.arena, ri)
-			}
-		}
-		interested := len(s.arena) - mark
-		if interested == 0 {
-			continue
-		}
-		if interested <= tailWidth {
-			// Thinned out: hand each remaining ray's subtree to the tail
-			// fast path and release the arena entries immediately.
-			for _, ri := range s.arena[mark:] {
-				o.packetWalkOne(ci, ri, signMask, tMin, p, hits, found, s)
-			}
-			s.arena = s.arena[:mark]
-		} else {
-			o.packetWalk(ci, s.arena[mark:], signMask, tMin, p, hits, found, s)
-			s.arena = s.arena[:mark]
-		}
+	for i := 0; i < p.n; i++ {
+		found[i] = o.walk(p.Ray(i), p.Ix[i], p.Iy[i], p.Iz[i], tMin, tMax, &hits[i], &s.stack)
 	}
 }
 
 // IntersectPacket finds the closest patch hit for every ray in the packet,
-// using the octree's wavefront traversal with the same (Eps, +Inf) range as
-// the scalar Scene.Intersect. hits and found must have at least Len entries.
+// with the same (Eps, +Inf) range as the scalar Scene.Intersect. hits and
+// found must have at least Len entries.
 func (sc *Scene) IntersectPacket(p *RayPacket, hits []Hit, found []bool, s *PacketScratch) {
 	sc.octree.IntersectPacket(p, Eps, math.Inf(1), hits, found, s)
 }

@@ -9,16 +9,51 @@ import (
 	"repro/internal/vecmath"
 )
 
-// checkPacketMatchesScalar traces the rays once through the scalar Intersect
-// and once as a single packet, requiring EXACT equality: the packet
-// traversal's contract is bit-identity with the scalar path (same hit, same
-// patch on exact ties, same float rounding in every Hit field), because the
-// wavefront engines' conformance with the per-photon engines rests on it.
-func checkPacketMatchesScalar(t *testing.T, s *Scene, rays []vecmath.Ray, label string) {
+// bruteRange is the O(n) reference over an explicit (tMin, tMax): every
+// patch in index order, keeping the closest hit. It shares no code with the
+// octree walk beyond Patch.Intersect itself.
+func bruteRange(s *Scene, r vecmath.Ray, tMin, tMax float64, h *Hit) bool {
+	found := false
+	var tmp Hit
+	for i := range s.Patches {
+		if s.Patches[i].Intersect(r, tMin, tMax, &tmp) {
+			*h = tmp
+			tMax = tmp.T
+			found = true
+		}
+	}
+	return found
+}
+
+// checkHitMatchesBrute requires a traversal result to equal the brute-force
+// one: the same found-ness and, for the same patch, the same Hit down to
+// every float bit. Two distinct patches are accepted only at exactly the
+// same T (a ray down a shared edge), where both answers are correct.
+func checkHitMatchesBrute(t *testing.T, s *Scene, r vecmath.Ray, tMin, tMax float64, got Hit, gotFound bool, label string) {
+	t.Helper()
+	var want Hit
+	wantFound := bruteRange(s, r, tMin, tMax, &want)
+	if gotFound != wantFound {
+		t.Fatalf("%s ray %+v (%v, %v): packet found=%v brute found=%v", label, r, tMin, tMax, gotFound, wantFound)
+	}
+	if !wantFound {
+		return
+	}
+	if got.Patch.ID == want.Patch.ID && got != want {
+		t.Fatalf("%s ray %+v: packet hit differs from brute:\npacket: %+v\nbrute:  %+v", label, r, got, want)
+	}
+	if got.Patch.ID != want.Patch.ID && got.T != want.T {
+		t.Fatalf("%s ray %+v: packet patch %d t=%v, brute patch %d t=%v",
+			label, r, got.Patch.ID, got.T, want.Patch.ID, want.T)
+	}
+}
+
+// checkPacketMatchesBrute traces the rays as a single packet over the scene
+// range (Eps, +Inf) and checks every ray against the brute-force reference.
+func checkPacketMatchesBrute(t *testing.T, s *Scene, rays []vecmath.Ray, label string) {
 	t.Helper()
 	var packet RayPacket
 	var scratch PacketScratch
-	packet.Reset()
 	for _, r := range rays {
 		packet.Append(r)
 	}
@@ -26,28 +61,16 @@ func checkPacketMatchesScalar(t *testing.T, s *Scene, rays []vecmath.Ray, label 
 	found := make([]bool, len(rays))
 	s.IntersectPacket(&packet, hits, found, &scratch)
 	for i, r := range rays {
-		var want Hit
-		wantFound := s.Intersect(r, &want)
-		if found[i] != wantFound {
-			t.Fatalf("%s ray %d %+v: packet found=%v scalar found=%v",
-				label, i, r, found[i], wantFound)
-		}
-		if !wantFound {
-			continue
-		}
-		if hits[i] != want {
-			t.Fatalf("%s ray %d %+v: packet hit differs from scalar:\npacket: %+v\nscalar: %+v",
-				label, i, r, hits[i], want)
-		}
+		checkHitMatchesBrute(t, s, r, Eps, math.Inf(1), hits[i], found[i], label)
 	}
 }
 
 // TestIntersectPacketMatchesScalar sweeps the packet traversal against the
-// scalar one over randomized scenes of several sizes with the historically
-// dangerous ray classes: uniform rays, axis-parallel rays (IEEE-infinity
-// reciprocals), rays through the root center, rays originating exactly on
-// patches, and mixed-signmask packets — all in single shared packets so
-// rays of every sign group and region coexist.
+// brute-force reference over randomized scenes of several sizes with the
+// historically dangerous ray classes: uniform rays, axis-parallel rays
+// (IEEE-infinity reciprocals), rays through the root center and rays
+// originating exactly on patches — all in single shared packets, so rays
+// of every direction sign reuse one stack back to back.
 func TestIntersectPacketMatchesScalar(t *testing.T) {
 	sizes := []int{0, 1, 7, 60, 400}
 	for si, n := range sizes {
@@ -75,7 +98,7 @@ func TestIntersectPacketMatchesScalar(t *testing.T) {
 				Origin: p.Point(r.Float64(), r.Float64()), Dir: sampler.UniformSphere(r),
 			})
 		}
-		checkPacketMatchesScalar(t, s, rays, "mixed")
+		checkPacketMatchesBrute(t, s, rays, "mixed")
 	}
 }
 
@@ -107,12 +130,12 @@ func TestIntersectPacketDeepScene(t *testing.T) {
 		target := vecmath.V(1+0.2*r.Float64(), 1+0.2*r.Float64(), 1+0.2*r.Float64())
 		rays = append(rays, vecmath.Ray{Origin: origin, Dir: target.Sub(origin).Norm()})
 	}
-	checkPacketMatchesScalar(t, s, rays, "deep")
+	checkPacketMatchesBrute(t, s, rays, "deep")
 }
 
 // TestIntersectPacketDegenerateSizes pins the edge widths: an empty packet
 // is a no-op, and 1-ray packets (the batch=1 conformance configuration)
-// reduce exactly to the scalar traversal.
+// find the reference hit.
 func TestIntersectPacketDegenerateSizes(t *testing.T) {
 	s := boxScene(t, 10, 40, 9)
 	var packet RayPacket
@@ -122,14 +145,14 @@ func TestIntersectPacketDegenerateSizes(t *testing.T) {
 	r := rng.New(13)
 	for i := 0; i < 200; i++ {
 		origin := vecmath.V(r.Float64()*10, r.Float64()*10, r.Float64()*10)
-		checkPacketMatchesScalar(t, s,
+		checkPacketMatchesBrute(t, s,
 			[]vecmath.Ray{{Origin: origin, Dir: sampler.UniformSphere(r)}}, "single")
 	}
 }
 
 // TestIntersectPacketScratchReuse runs several packets of varying size
-// through ONE scratch + packet pair, interleaving sizes so stale best/found
-// state from a larger previous packet would be caught.
+// through ONE scratch + packet pair, interleaving sizes so stale stack or
+// packet state from a larger previous packet would be caught.
 func TestIntersectPacketScratchReuse(t *testing.T) {
 	s := boxScene(t, 10, 60, 21)
 	r := rng.New(31)
@@ -149,46 +172,54 @@ func TestIntersectPacketScratchReuse(t *testing.T) {
 		found := make([]bool, n)
 		s.IntersectPacket(&packet, hits, found, &scratch)
 		for i, ray := range rays {
-			var want Hit
-			wantFound := s.Intersect(ray, &want)
-			if found[i] != wantFound || (wantFound && hits[i] != want) {
-				t.Fatalf("packet size %d ray %d: reused scratch diverges from scalar", n, i)
-			}
+			checkHitMatchesBrute(t, s, ray, Eps, math.Inf(1), hits[i], found[i], "reuse")
 		}
 	}
 }
 
 // TestIntersectPacketRangeLimits checks the explicit (tMin, tMax) entry
-// point against the scalar octree call at the same limits — the Occluded
-// use case, where tMax is finite.
+// point against the brute-force reference at the same limits — the
+// Occluded use case, where tMax is finite, and a raised tMin.
 func TestIntersectPacketRangeLimits(t *testing.T) {
 	s := boxScene(t, 10, 60, 43)
 	r := rng.New(47)
 	var packet RayPacket
 	var scratch PacketScratch
-	for _, tMax := range []float64{0.5, 3, 20, math.Inf(1)} {
-		packet.Reset()
-		var rays []vecmath.Ray
-		for i := 0; i < 100; i++ {
-			ray := vecmath.Ray{
-				Origin: vecmath.V(r.Float64()*10, r.Float64()*10, r.Float64()*10),
-				Dir:    sampler.UniformSphere(r),
+	for _, tMin := range []float64{Eps, 1.5} {
+		for _, tMax := range []float64{0.5, 3, 20, math.Inf(1)} {
+			packet.Reset()
+			var rays []vecmath.Ray
+			for i := 0; i < 100; i++ {
+				ray := vecmath.Ray{
+					Origin: vecmath.V(r.Float64()*10, r.Float64()*10, r.Float64()*10),
+					Dir:    sampler.UniformSphere(r),
+				}
+				rays = append(rays, ray)
+				packet.Append(ray)
 			}
-			rays = append(rays, ray)
-			packet.Append(ray)
-		}
-		hits := make([]Hit, len(rays))
-		found := make([]bool, len(rays))
-		s.Octree().IntersectPacket(&packet, Eps, tMax, hits, found, &scratch)
-		for i, ray := range rays {
-			var want Hit
-			wantFound := s.Octree().Intersect(ray, Eps, tMax, &want)
-			if found[i] != wantFound {
-				t.Fatalf("tMax=%v ray %d: packet found=%v scalar found=%v", tMax, i, found[i], wantFound)
-			}
-			if wantFound && hits[i] != want {
-				t.Fatalf("tMax=%v ray %d: packet hit differs:\n%+v\n%+v", tMax, i, hits[i], want)
+			hits := make([]Hit, len(rays))
+			found := make([]bool, len(rays))
+			s.Octree().IntersectPacket(&packet, tMin, tMax, hits, found, &scratch)
+			for i, ray := range rays {
+				checkHitMatchesBrute(t, s, ray, tMin, tMax, hits[i], found[i], "range")
 			}
 		}
+	}
+}
+
+// TestIntersectAllocatesNothing pins the zero-allocation contract of the
+// single-ray entry points every photon bounce, view ray and shadow ray
+// takes: the node stack lives on the caller's frame and the hit record is
+// the caller's.
+func TestIntersectAllocatesNothing(t *testing.T) {
+	s := boxScene(t, 10, 60, 5)
+	ray := vecmath.Ray{Origin: vecmath.V(5, 5, 5), Dir: vecmath.V(0.6, 0, 0.8)}
+	var h Hit
+	if n := testing.AllocsPerRun(100, func() { s.Intersect(ray, &h) }); n != 0 {
+		t.Errorf("Scene.Intersect: %v allocs per call, want 0", n)
+	}
+	from, to := vecmath.V(1, 1, 1), vecmath.V(9, 8, 7)
+	if n := testing.AllocsPerRun(100, func() { s.Occluded(from, to) }); n != 0 {
+		t.Errorf("Scene.Occluded: %v allocs per call, want 0", n)
 	}
 }

@@ -2,10 +2,12 @@
 // Photon simulator: a 48-bit linear congruential generator with the classic
 // drand48 constants, giving the period-2^48 sequence the paper describes.
 //
-// The distinguishing feature is O(log n) jump-ahead, which enables the
-// paper's leapfrog parallelization: the single global sequence is divided
-// into P disjoint contiguous subsequences, one per processor, so no two
-// processors ever duplicate work ("individual periods of 2^48/P").
+// The paper's parallelization divides the single global sequence into P
+// disjoint contiguous subsequences with O(log n) jump-ahead ("individual
+// periods of 2^48/P"). The engines here instead give every photon its own
+// substream, positioned by hashing (seed, photon index) — see
+// core.PhotonStream — so a trajectory does not depend on which worker
+// traces it; JumpAhead remains for positioning a stream exactly.
 package rng
 
 import "math"
@@ -22,8 +24,7 @@ const (
 )
 
 // Source is a deterministic stream of uniform variates. It is NOT safe for
-// concurrent use; the parallel engines give each worker its own leapfrogged
-// Source, which is precisely the paper's design.
+// concurrent use; every photon draws from its own Source.
 type Source struct {
 	state uint64
 }
@@ -37,7 +38,7 @@ func New(seed int64) *Source {
 }
 
 // NewFromState returns a Source whose raw 48-bit state is exactly state.
-// Used by leapfrog splitting and by tests that need precise positioning.
+// Used by per-photon substreams and by tests that need precise positioning.
 func NewFromState(state uint64) *Source {
 	return &Source{state: state & mask48}
 }
@@ -128,23 +129,3 @@ func (s *Source) JumpAhead(n uint64) {
 
 // Clone returns an independent copy positioned at the same stream point.
 func (s *Source) Clone() *Source { return &Source{state: s.state} }
-
-// Leapfrog partitions the sequence that starts at base's current position
-// into p contiguous disjoint subsequences of length Period/p and returns one
-// Source positioned at the start of each. This is the paper's scheme: each
-// processor "calculates the beginning point in the appropriate subsequence",
-// giving per-processor periods of 2^48/P with no overlap. base itself is not
-// advanced.
-func Leapfrog(base *Source, p int) []*Source {
-	if p <= 0 {
-		panic("rng: Leapfrog with non-positive p")
-	}
-	stride := uint64(Period / uint64(p))
-	out := make([]*Source, p)
-	for i := range out {
-		s := base.Clone()
-		s.JumpAhead(uint64(i) * stride)
-		out[i] = s
-	}
-	return out
-}

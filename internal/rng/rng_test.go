@@ -148,59 +148,6 @@ func TestJumpAheadFullPeriodIsIdentity(t *testing.T) {
 	}
 }
 
-func TestLeapfrogStreamsAreDisjointPrefixes(t *testing.T) {
-	// Stream i, advanced stride steps, lands exactly at stream i+1's start:
-	// the partition is contiguous and therefore disjoint within 2^48/P draws.
-	const p = 8
-	base := New(77)
-	streams := Leapfrog(base, p)
-	stride := uint64(Period / p)
-	for i := 0; i < p-1; i++ {
-		probe := streams[i].Clone()
-		probe.JumpAhead(stride)
-		if probe.State() != streams[i+1].State() {
-			t.Fatalf("stream %d + stride != stream %d start", i, i+1)
-		}
-	}
-}
-
-func TestLeapfrogDoesNotAdvanceBase(t *testing.T) {
-	base := New(5)
-	before := base.State()
-	Leapfrog(base, 16)
-	if base.State() != before {
-		t.Fatal("Leapfrog advanced the base stream")
-	}
-}
-
-func TestLeapfrogStreamZeroEqualsBase(t *testing.T) {
-	base := New(31)
-	streams := Leapfrog(base, 4)
-	if streams[0].State() != base.State() {
-		t.Fatal("stream 0 should start at the base position")
-	}
-}
-
-func TestLeapfrogDistinctStarts(t *testing.T) {
-	streams := Leapfrog(New(8), 64)
-	seen := make(map[uint64]bool)
-	for i, s := range streams {
-		if seen[s.State()] {
-			t.Fatalf("stream %d duplicates another stream's start", i)
-		}
-		seen[s.State()] = true
-	}
-}
-
-func TestLeapfrogPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Leapfrog(0) did not panic")
-		}
-	}()
-	Leapfrog(New(1), 0)
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := New(2)
 	b := a.Clone()

@@ -3,22 +3,18 @@
 
 // Package shared implements the shared-memory parallelization of Photon.
 //
-// The seed algorithm (Figure 5.2, retained as RunLocked) executes the same
-// trace loop on every worker against one shared bin forest, serializing
-// every tally behind the owning tree's write lock. That is faithful to the
-// paper — and it caps scaling exactly where the paper predicts lock
-// contention dominates.
-//
-// Run is the contention-free successor. Workers pull photon chunks from a
+// The paper's algorithm (Figure 5.2) runs the trace loop on every worker
+// against one shared bin forest, serializing every tally behind the owning
+// tree's write lock — which caps scaling exactly where the paper predicts
+// lock contention dominates. Run keeps the forest and its per-tree locks
+// but takes them off the hot path. Workers pull photon chunks from a
 // shared work-stealing queue (dynamic self-scheduling: a straggler on a
-// hard chunk never idles a finished worker, unlike the static leapfrog
-// split), trace each chunk as wavefront batches through a private
-// core.Wave — whole batches descend the octree together via the packet
-// traversal — into a per-worker tally buffer with no shared state touched
-// on the hot path, and hand completed buffers to an
-// in-order merger that flushes batched deposits into the forest — splits
-// happen at merge time, under the existing per-tree lock, so a viewer can
-// still render concurrently with an ongoing simulation (the paper's
+// hard chunk never idles a finished worker, unlike a static split), trace
+// each chunk through a private core.Wave into a per-worker tally buffer
+// with no shared state touched, and hand completed buffers to an in-order
+// merger that flushes batched deposits into the forest — splits happen at
+// merge time, under the per-tree lock, so a viewer can still render
+// concurrently with an ongoing simulation (the paper's
 // lights-on-while-walking-in picture).
 //
 // Because every photon draws from its private core.PhotonStream substream
@@ -37,7 +33,6 @@ import (
 	"repro/internal/bintree"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/scenes"
 )
 
@@ -51,8 +46,7 @@ type Config struct {
 	ChunkSize int64
 	// BatchSize is the photons per wavefront batch within a chunk (default
 	// core.DefaultWaveSize). Each worker traces its chunk through a private
-	// core.Wave of this width, so the octree is walked packet-at-a-time
-	// rather than ray-at-a-time. Any width produces bit-identical results;
+	// core.Wave of this width. Any width produces bit-identical results;
 	// only throughput changes.
 	BatchSize int
 	// Progress, when non-nil, receives the photons merged so far and the
@@ -76,7 +70,7 @@ func DefaultConfig(photons int64) Config {
 // updates (which may split) take the tree's write lock; radiance queries
 // take the read lock, so a viewer can render concurrently with an ongoing
 // simulation. In Run only the merge path writes, so workers never touch a
-// lock while tracing; in RunLocked every tally takes the write lock.
+// lock while tracing.
 type LockedForest struct {
 	forest *bintree.Forest
 	locks  []sync.RWMutex
@@ -273,8 +267,7 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 			defer wg.Done()
 			var st core.Stats
 			// One wavefront per worker, reused across every chunk it
-			// steals: batches of cfg.BatchSize photons walk the octree
-			// together, and the Wave delivers each chunk's tallies in
+			// steals. The Wave delivers each chunk's tallies in
 			// photon-index order — exactly what the in-order merger
 			// expects, so batching is invisible to the conformance
 			// contract.
@@ -307,68 +300,6 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 		total.Add(st)
 	}
 	total.BinSplits = m.splits
-	return &core.Result{
-		Scene:          scene,
-		Forest:         lf.Forest(),
-		Stats:          total,
-		EmittedPhotons: total.PhotonsEmitted,
-	}, nil
-}
-
-// RunLocked executes the seed shared-memory algorithm (Figure 5.2):
-// cfg.Workers goroutines on static leapfrogged substreams share the locked
-// forest, every tally taking the owning tree's write lock. Retained as the
-// paper-faithful baseline and as BenchmarkSharedContention's reference —
-// this is the path whose lock contention the buffered Run removes.
-func RunLocked(scene *scenes.Scene, cfg Config) (*core.Result, error) {
-	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("shared: Workers must be positive, got %d", cfg.Workers)
-	}
-	sim, err := core.NewSimulator(scene, cfg.Core)
-	if err != nil {
-		return nil, err
-	}
-	coreCfg := sim.Config()
-	lf := NewLockedForestSectioned(len(scene.Geom.Patches), coreCfg.Sections, coreCfg.Bin)
-
-	// Leapfrog the global stream into per-worker disjoint substreams.
-	streams := rng.Leapfrog(rng.New(coreCfg.Seed), cfg.Workers)
-
-	// Distribute photons statically, remainder to the low ranks.
-	per := coreCfg.Photons / int64(cfg.Workers)
-	rem := coreCfg.Photons % int64(cfg.Workers)
-
-	statsCh := make(chan core.Stats, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		n := per
-		if int64(w) < rem {
-			n++
-		}
-		wg.Add(1)
-		go func(worker int, photons int64) {
-			defer wg.Done()
-			var st core.Stats
-			stream := streams[worker]
-			var splits int64
-			for i := int64(0); i < photons; i++ {
-				sim.TracePhotonFunc(stream, &st, func(t core.Tally) {
-					if lf.Add(int(t.Patch), t.Point, t.Power) {
-						splits++
-					}
-				})
-			}
-			st.BinSplits = splits
-			statsCh <- st
-		}(w, n)
-	}
-	wg.Wait()
-	close(statsCh)
-
-	var total core.Stats
-	for st := range statsCh {
-		total.Add(st)
-	}
 	return &core.Result{
 		Scene:          scene,
 		Forest:         lf.Forest(),

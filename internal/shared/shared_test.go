@@ -119,26 +119,6 @@ func TestSingleWorkerMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestLockedPathStillConserves(t *testing.T) {
-	// The retained Figure 5.2 baseline must stay correct even though Run
-	// superseded it: exact emission count and tally conservation.
-	s := quickScene(t)
-	res, err := RunLocked(s, Config{Core: core.DefaultConfig(8000), Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.PhotonsEmitted != 8000 {
-		t.Fatalf("emitted %d, want 8000", res.Stats.PhotonsEmitted)
-	}
-	want := res.Stats.PhotonsEmitted + res.Stats.Reflections
-	if got := res.Forest.TotalPhotons(); got != want {
-		t.Fatalf("forest tallies %d, want %d", got, want)
-	}
-	if _, err := RunLocked(s, Config{Core: core.DefaultConfig(10), Workers: 0}); err == nil {
-		t.Fatal("zero workers accepted by RunLocked")
-	}
-}
-
 func TestProgressMonotonicAndComplete(t *testing.T) {
 	s := quickScene(t)
 	var mu sync.Mutex

@@ -141,12 +141,12 @@ type Config struct {
 	// Workers is the goroutine count for EngineShared and the rank count
 	// for EngineDistributed (default 4 for both).
 	Workers int
-	// BatchSize is the photons per batch: for EngineShared the wavefront
-	// width — photons traced through the octree together as one ray
-	// packet (default 64); for EngineDistributed the photons per rank
-	// between all-to-all exchanges (default 500, the paper's starting
-	// size). Results are bit-identical at every batch size; only
-	// throughput changes.
+	// BatchSize is the photons per batch: for EngineSerial and
+	// EngineShared the wavefront width — photons traced abreast, their
+	// rays intersected together each bounce (default 64); for
+	// EngineDistributed the photons per rank between all-to-all exchanges
+	// (default 500, the paper's starting size). Results are bit-identical
+	// at every batch size; only throughput changes.
 	BatchSize int
 	// Balance selects the forest-ownership load balancing strategy
 	// (EngineDistributed only; default BalanceBinPack).

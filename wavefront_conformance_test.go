@@ -1,20 +1,100 @@
 package photon
 
-// The batch-size axis of the conformance matrix. PR 9 rebuilt the shared
-// engine's trace loop as a batched wavefront (core.Wave over the octree's
-// packet traversal), and the contract is that batching is invisible in the
-// answer: for every bundled scene, every batch width and every worker
-// count, stats and bin forests are bit-identical to the serial engine's.
-// This is the acceptance bar that lets the batch width be a pure tuning
-// knob — see DESIGN.md "Wavefront batching" for why identity survives.
+// The batch-size axis of the conformance matrix. Every engine but geo
+// traces through core.Wave, and the contract is that batching is invisible
+// in the answer: for every bundled scene, every batch width and every
+// worker count, stats and bin forests are bit-identical to the serial
+// engine's. This is the acceptance bar that lets the batch width be a pure
+// tuning knob — see DESIGN.md "Wavefront batching" for why identity
+// survives. Because the serial reference is itself a Wave,
+// TestPerPhotonOracleConformance holds the engines to an independent
+// oracle: a plain per-photon TracePhotonFunc loop.
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bintree"
 	"repro/internal/core"
 	"repro/internal/engine"
 )
+
+// perPhotonOracle traces cfg's photons one at a time with
+// core.Simulator.TracePhotonFunc on their PhotonStream substreams, applying
+// every tally to the forest as it arrives — the Figure 4.1 loop with no
+// batching, staging or reordering anywhere.
+func perPhotonOracle(t *testing.T, sc *Scene, cfg core.Config) (core.Stats, *bintree.Forest) {
+	t.Helper()
+	sim, err := core.NewSimulator(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.Config()
+	forest := bintree.NewForestSectioned(len(sc.Geom.Patches), c.Sections, c.Bin)
+	var stats core.Stats
+	for i := int64(0); i < c.Photons; i++ {
+		sim.TracePhotonFunc(core.PhotonStream(c.Seed, i), &stats, func(tl core.Tally) {
+			if forest.Add(int(tl.Patch), tl.Point, tl.Power) {
+				stats.BinSplits++
+			}
+		})
+	}
+	return stats, forest
+}
+
+// TestPerPhotonOracleConformance pins the serial engine at several
+// wavefront widths and the replicated distributed engine (two ranks,
+// several exchange batch sizes) against perPhotonOracle on every bundled
+// scene: equal Stats and equal Forest.Fingerprint().
+func TestPerPhotonOracleConformance(t *testing.T) {
+	photons := int64(3000)
+	if testing.Short() {
+		photons = 1000
+	}
+	for _, sceneName := range SceneNames() {
+		sc, err := SceneByName(sceneName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(sceneName, func(t *testing.T) {
+			for _, sections := range []int{1, 4} {
+				coreCfg := core.DefaultConfig(photons)
+				coreCfg.Sections = sections
+				wantStats, wantForest := perPhotonOracle(t, sc, coreCfg)
+				type run struct {
+					label string
+					eng   engine.Engine
+					cfg   engine.Config
+				}
+				var runs []run
+				for _, batch := range []int{0, 1, 37, 500} {
+					runs = append(runs, run{fmt.Sprintf("serial-s%d-batch%d", sections, batch),
+						engine.Serial, engine.Config{Core: coreCfg, BatchSize: batch}})
+				}
+				if sections == 4 {
+					for _, batch := range []int{1, 37, 500} {
+						runs = append(runs, run{fmt.Sprintf("distributed-r2-batch%d", batch),
+							engine.Distributed, engine.Config{Core: coreCfg, Workers: 2, BatchSize: batch}})
+					}
+				}
+				for _, r := range runs {
+					sol, err := r.eng.Run(sc, r.cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", r.label, err)
+					}
+					if sol.Stats != wantStats {
+						t.Errorf("%s: stats diverge from the per-photon oracle:\ngot:    %+v\noracle: %+v",
+							r.label, sol.Stats, wantStats)
+					}
+					if sol.Forest.Fingerprint() != wantForest.Fingerprint() {
+						t.Errorf("%s: forest fingerprint %x != oracle %x",
+							r.label, sol.Forest.Fingerprint(), wantForest.Fingerprint())
+					}
+				}
+			}
+		})
+	}
+}
 
 // wavefrontBatchSizes spans the degenerate width (1: every packet is a
 // single ray, reducing the wavefront to the per-photon path), partial
