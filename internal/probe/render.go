@@ -12,10 +12,10 @@ import (
 	"repro/internal/view"
 )
 
-// Options tunes probe rendering. Probe frames use the full path's exposure
-// and Reinhard curve (view.TonemapFast, within one 8-bit step of the exact
-// view.Tonemap), so the two qualities differ only in how per-pixel radiance
-// was obtained.
+// Options tunes probe rendering. Probe frames go through the full path's
+// own tone map (view.Tonemap: the same exposure, Reinhard curve, gamma and
+// byte rounding), so the two qualities differ only in how per-pixel
+// radiance was obtained.
 type Options struct {
 	// Exposure scales radiance before tone mapping; 0 selects the same
 	// automatic exposure as the full path.
@@ -71,7 +71,7 @@ func Render(sc *scenes.Scene, g *Grid, cam view.Camera, opts Options) (*image.RG
 		lz := math.Abs(toEye.Dot(normals[id]))
 		rad[idx] = g.Radiance(int(id), s, t, lz)
 	}
-	return view.TonemapFast(rad, width, height, opts.Exposure, opts.Gamma), nil
+	return view.Tonemap(rad, width, height, opts.Exposure, opts.Gamma), nil
 }
 
 // framebuffer is the rasterizer's visibility result: per pixel, the

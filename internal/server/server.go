@@ -585,6 +585,11 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
+	// 0 selects automatic exposure; NaN fails the comparison.
+	if !(exposure >= 0 && exposure <= math.MaxFloat64) {
+		badRequest(w, "exposure %v not a finite value >= 0", exposure)
+		return
+	}
 	quality := q.Get("quality")
 	switch quality {
 	case "", "full":

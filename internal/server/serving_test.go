@@ -274,6 +274,35 @@ func TestQualityProbe(t *testing.T) {
 	}
 }
 
+// TestHostileRenderParams: a non-finite or negative exposure, or a
+// non-finite camera value, is a 400 at both qualities. ServeHTTP is called
+// directly, so a panic fails the test instead of being recovered by
+// net/http (a NaN or negative exposure used to index the probe path's
+// tone-map table out of range; the full path rendered garbage).
+func TestHostileRenderParams(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	hostile := []string{
+		"exposure=NaN", "exposure=-1", "exposure=Inf", "exposure=-Inf",
+		"fov=NaN", "fov=Inf", "eye=NaN,1,1", "eye=1,Inf,1", "lookat=1,1,NaN",
+		"up=NaN,0,1", "up=0,0,-Inf",
+	}
+	do := func(query string) int {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/render?answer=q.pbf&w=16&h=12&"+query, nil))
+		return rec.Code
+	}
+	for _, quality := range []string{"full", "probe"} {
+		for _, h := range hostile {
+			if code := do("quality=" + quality + "&" + h); code != http.StatusBadRequest {
+				t.Errorf("quality=%s %s = %d, want 400", quality, h, code)
+			}
+		}
+		if code := do("quality=" + quality + "&exposure=0.5"); code != http.StatusOK {
+			t.Errorf("quality=%s exposure=0.5 = %d, want 200", quality, code)
+		}
+	}
+}
+
 // TestAdmitSheds drives the admission gate directly, with the slot held,
 // so both shed causes are deterministic: a full queue sheds immediately,
 // a queued request sheds when its deadline passes.

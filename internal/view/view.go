@@ -9,7 +9,6 @@ package view
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"math"
@@ -51,8 +50,12 @@ func (c *Camera) Validate() error {
 	if c.Width > maxPixels/c.Height { // overflow-safe: both factors positive
 		return fmt.Errorf("view: image dimensions %dx%d exceed %d pixels", c.Width, c.Height, maxPixels)
 	}
-	if c.FovY <= 0 || c.FovY >= 180 {
+	// Written so NaN fails: every comparison with NaN is false.
+	if !(c.FovY > 0 && c.FovY < 180) {
 		return fmt.Errorf("view: FovY %v out of (0,180)", c.FovY)
+	}
+	if !c.Eye.IsFinite() || !c.LookAt.IsFinite() || !c.Up.IsFinite() {
+		return fmt.Errorf("view: Eye %v, LookAt %v and Up %v must be finite", c.Eye, c.LookAt, c.Up)
 	}
 	if c.LookAt.Sub(c.Eye).Len() == 0 {
 		return fmt.Errorf("view: Eye and LookAt coincide")
@@ -292,89 +295,6 @@ func Render(sc *scenes.Scene, forest *bintree.Forest, cam Camera, opts Options) 
 	return img, nil
 }
 
-// Tonemap converts a raw radiance buffer (row-major, width×height) into the
-// displayed image: automatic exposure when exposure is 0 (0.5·n/Σlum over
-// the lit pixels), then per-channel Reinhard tone mapping and display gamma
-// (0 selects the 2.2 default). Render's second pass is exactly this call;
-// it is exported so alternative first passes — the probe rasterizer — map
-// radiance to bytes identically to the full path.
-func Tonemap(rad []bintree.RGB, width, height int, exposure, gamma float64) *image.RGBA {
-	if gamma <= 0 {
-		gamma = 2.2
-	}
-	exposure = autoExposure(rad, exposure)
-	img := image.NewRGBA(image.Rect(0, 0, width, height))
-	for i, r := range rad {
-		img.SetRGBA(i%width, i/width, color.RGBA{
-			R: toneChannel(r.R, exposure, gamma),
-			G: toneChannel(r.G, exposure, gamma),
-			B: toneChannel(r.B, exposure, gamma),
-			A: 255,
-		})
-	}
-	return img
-}
-
-// TonemapFast is Tonemap with the gamma curve approximated by an
-// interpolated lookup table, for latency-critical approximate paths (the
-// probe renderer). Exposure and the Reinhard curve are identical to
-// Tonemap; only the final x^(1/γ) is tabulated, and the table is indexed
-// by √x so the tabulated function x^(2/γ) is nearly linear for display
-// gammas — linear interpolation then stays within one 8-bit step of the
-// exact curve everywhere, including the steep region near black that an
-// evenly spaced table misses. The full path keeps the exact Tonemap so
-// committed frames stay byte-identical.
-func TonemapFast(rad []bintree.RGB, width, height int, exposure, gamma float64) *image.RGBA {
-	if gamma <= 0 {
-		gamma = 2.2
-	}
-	exposure = autoExposure(rad, exposure)
-	const lutN = 1024
-	var lut [lutN + 2]float64
-	for i := range lut {
-		lut[i] = math.Pow(float64(i)/lutN, 2/gamma) * 255
-	}
-	tone := func(x float64) uint8 {
-		if x <= 0 {
-			return 0
-		}
-		v := x * exposure
-		v = v / (1 + v) // Reinhard; in [0,1)
-		f := math.Sqrt(v) * lutN
-		i := int(f)
-		c := lut[i] + (f-float64(i))*(lut[i+1]-lut[i])
-		return uint8(vecmath.Clamp(c+0.5, 0, 255))
-	}
-	img := image.NewRGBA(image.Rect(0, 0, width, height))
-	for i, r := range rad {
-		img.SetRGBA(i%width, i/width, color.RGBA{
-			R: tone(r.R), G: tone(r.G), B: tone(r.B), A: 255,
-		})
-	}
-	return img
-}
-
-// autoExposure resolves the exposure setting: nonzero passes through;
-// zero selects 0.5·n/Σlum over the lit pixels (or 1 for a black frame).
-func autoExposure(rad []bintree.RGB, exposure float64) float64 {
-	if exposure != 0 {
-		return exposure
-	}
-	mean := 0.0
-	n := 0
-	for _, r := range rad {
-		l := lum(r)
-		if l > 0 {
-			mean += l
-			n++
-		}
-	}
-	if n > 0 && mean > 0 {
-		return 0.5 * float64(n) / mean
-	}
-	return 1
-}
-
 // RadianceToward evaluates the answer forest for the radiance leaving the
 // hit surface toward the eye: the core DetermineBin logic shared between
 // simulation and viewing, as the paper notes.
@@ -393,20 +313,24 @@ func RadianceToward(sc *scenes.Scene, forest *bintree.Forest, h *geom.Hit, eye v
 		h.Patch.Area())
 }
 
-func lum(r bintree.RGB) float64 { return 0.2126*r.R + 0.7152*r.G + 0.0722*r.B }
+// pngEncoder is png.Encode's encoder — default compression, so the bytes
+// are identical — with its deflate state and scanline buffers pooled
+// across frames instead of allocated per encode. Encode only reads the
+// Encoder, so concurrent frames share it.
+var pngEncoder = png.Encoder{BufferPool: new(pngBufferPool)}
 
-func toneChannel(x, exposure, gamma float64) uint8 {
-	if x <= 0 {
-		return 0
-	}
-	v := x * exposure
-	v = v / (1 + v) // Reinhard
-	v = math.Pow(v, 1/gamma)
-	return uint8(vecmath.Clamp(v*255+0.5, 0, 255))
+// pngBufferPool is a png.EncoderBufferPool over a sync.Pool.
+type pngBufferPool struct{ pool sync.Pool }
+
+func (p *pngBufferPool) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b
 }
 
-// WritePNG encodes the image to w.
-func WritePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }
+func (p *pngBufferPool) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
+
+// WritePNG encodes the image to w. It is safe for concurrent use.
+func WritePNG(w io.Writer, img image.Image) error { return pngEncoder.Encode(w, img) }
 
 // RMSE returns the root-mean-square pixel difference between two images of
 // equal size, in [0,255] units — the quality metric behind the visual

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bintree"
 	"repro/internal/core"
 	"repro/internal/scenes"
 	"repro/internal/vecmath"
@@ -45,6 +44,11 @@ func TestCameraValidate(t *testing.T) {
 		// 32-bit ints: must reject, not wrap (or panic downstream).
 		{Width: 1 << 20, Height: 1 << 20, FovY: 60, LookAt: vecmath.V(1, 0, 0)},
 		{Width: 1 << 31, Height: 1 << 31, FovY: 60, LookAt: vecmath.V(1, 0, 0)},
+		// Non-finite values: every comparison with NaN is false.
+		{Width: 10, Height: 10, FovY: math.NaN(), LookAt: vecmath.V(1, 0, 0)},
+		{Width: 10, Height: 10, FovY: 60, Eye: vecmath.V(math.NaN(), 1, 1), LookAt: vecmath.V(1, 0, 0)},
+		{Width: 10, Height: 10, FovY: 60, LookAt: vecmath.V(1, math.Inf(1), 0)},
+		{Width: 10, Height: 10, FovY: 60, LookAt: vecmath.V(1, 0, 0), Up: vecmath.V(0, 0, math.Inf(-1))},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -323,9 +327,13 @@ func TestRMSEValidation(t *testing.T) {
 }
 
 func TestToneChannelRange(t *testing.T) {
+	prev := uint8(0)
 	for _, x := range []float64{-1, 0, 0.001, 1, 100, 1e9} {
 		v := toneChannel(x, 1, 2.2)
-		_ = v // uint8 is range-bound by construction; just ensure no panic
+		if v < prev {
+			t.Errorf("toneChannel(%v) = %d, below %d for a smaller radiance", x, v, prev)
+		}
+		prev = v
 	}
 	if toneChannel(0, 1, 2.2) != 0 {
 		t.Fatal("zero radiance should map to black")
@@ -393,60 +401,4 @@ func BenchmarkPrimaryRays(b *testing.B) {
 	}
 	rays := float64(cam.Width*cam.Height) * float64(b.N)
 	b.ReportMetric(rays/b.Elapsed().Seconds()/1e6, "Mrays/s")
-}
-
-// TestTonemapFastMatchesExact pins the LUT-based tone map against the
-// exact one: over a radiance sweep spanning black through deep overexposure
-// every channel must land within one 8-bit step, and exact zero must stay
-// exact zero. One step is the contract that lets the probe path use the
-// fast map while staying visually indistinguishable.
-func TestTonemapFastMatchesExact(t *testing.T) {
-	const w, h = 64, 2
-	rad := make([]bintree.RGB, w*h)
-	for i := range rad {
-		// Log sweep from 1e-4 to ~1e3, plus exact zeros in the second row.
-		if i >= w {
-			continue
-		}
-		v := 1e-4 * math.Pow(10, 7*float64(i)/float64(w-1))
-		rad[i] = bintree.RGB{R: v, G: v * 0.5, B: v * 2}
-	}
-	for _, gamma := range []float64{0, 1.8, 2.2, 2.4} {
-		exact := Tonemap(rad, w, h, 1, gamma)
-		fast := TonemapFast(rad, w, h, 1, gamma)
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				e := exact.RGBAAt(x, y)
-				f := fast.RGBAAt(x, y)
-				for _, ch := range [3][2]uint8{{e.R, f.R}, {e.G, f.G}, {e.B, f.B}} {
-					d := int(ch[0]) - int(ch[1])
-					if d < -1 || d > 1 {
-						t.Fatalf("gamma=%v pixel (%d,%d): exact %v fast %v differ by >1 step",
-							gamma, x, y, e, f)
-					}
-				}
-			}
-		}
-		// Zero radiance maps to exact zero in both.
-		z := fast.RGBAAt(0, 1)
-		if z.R != 0 || z.G != 0 || z.B != 0 {
-			t.Fatalf("gamma=%v: zero radiance tone-mapped to %v", gamma, z)
-		}
-	}
-}
-
-// TestTonemapAutoExposureShared pins that the two tone maps resolve the
-// same automatic exposure (it is the same code path).
-func TestTonemapAutoExposureShared(t *testing.T) {
-	rad := []bintree.RGB{{R: 0.2, G: 0.9, B: 0.1}, {}, {R: 4, G: 4, B: 4}}
-	exact := Tonemap(rad, 3, 1, 0, 2.2)
-	fast := TonemapFast(rad, 3, 1, 0, 2.2)
-	for x := 0; x < 3; x++ {
-		e, f := exact.RGBAAt(x, 0), fast.RGBAAt(x, 0)
-		for _, d := range [3]int{int(e.R) - int(f.R), int(e.G) - int(f.G), int(e.B) - int(f.B)} {
-			if d < -1 || d > 1 {
-				t.Fatalf("pixel %d: auto-exposed frames diverge: %v vs %v", x, e, f)
-			}
-		}
-	}
 }

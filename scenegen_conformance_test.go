@@ -38,7 +38,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/scenegen_golden.json")
+var updateGolden = flag.Bool("update", false, "regenerate the golden files of the tests -run selects (testdata/*_golden.json)")
 
 // genConformanceSpecs is the differential harness's scene set: one scene
 // per generator family (canonical specs). Every test in this file sweeps
