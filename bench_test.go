@@ -151,10 +151,10 @@ func BenchmarkEngineSerialLab(b *testing.B)     { benchEngine(b, "computer-lab",
 
 // --- Intersection hot-path benchmarks (flattened octree, PR 4) ---
 
-// benchScenes are the bundled scenes the perf trajectory tracks — the one
-// definition shared with photon-bench -json, so BENCH_*.json and
-// `go test -bench` numbers are directly comparable.
-var benchScenes = benchutil.Scenes
+// benchScenes are the hot-path benchmarks' scenes: the three bundled rooms
+// plus one generated office, a canonical scenegen spec so the workload is
+// reproducible from its name alone.
+var benchScenes = []string{"cornell-box", "harpsichord-room", "computer-lab", "gen:office/seed=7/rooms=2/density=0.6"}
 
 // BenchmarkIntersectMrays measures raw octree throughput per bundled scene:
 // a fixed set of rays from interior points in uniform directions, closest
@@ -195,31 +195,6 @@ func BenchmarkTracePhotons(b *testing.B) {
 				cfg := core.DefaultConfig(photonsPerIter)
 				cfg.Seed = int64(i + 1)
 				if _, err := core.Run(sc, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(photonsPerIter)*float64(b.N)/b.Elapsed().Seconds(), "photons/s")
-		})
-	}
-}
-
-// BenchmarkParallelScaling is the workers 1→2→4→8 sweep of the shared
-// wavefront engine — the benchmark form of photon-bench's
-// parallel-scaling suite, on the same cornell-box workload.
-func BenchmarkParallelScaling(b *testing.B) {
-	sc, err := SceneByName("cornell-box")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range benchutil.ScalingWorkers {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			const photonsPerIter = 20000
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := shared.DefaultConfig(photonsPerIter)
-				cfg.Core.Seed = int64(i + 1)
-				cfg.Workers = workers
-				if _, err := shared.Run(sc, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -270,8 +245,7 @@ func sizeName(n int) string {
 // --- View-stage (tile renderer + server) benchmarks ---
 
 // BenchmarkRenderWorkers measures the tile-parallel viewer at 1/4/8
-// workers over one answer: the stage-two counterpart of
-// BenchmarkParallelScaling. The image is bit-identical at every worker
+// workers over one answer. The image is bit-identical at every worker
 // count (pinned by TestRenderWorkerConformance), so the comparison is
 // purely throughput; pixels/s makes the scaling directly readable.
 func BenchmarkRenderWorkers(b *testing.B) {

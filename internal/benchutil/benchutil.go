@@ -1,8 +1,6 @@
-// Package benchutil defines the hot-path benchmark workload shared by
-// bench_test.go (`go test -bench`) and cmd/photon-bench (-json, committed
-// as BENCH_PR<n>.json). Both consumers import this single definition so
-// their numbers measure the same scenes and the same rays — the perf
-// trajectory's comparability depends on it.
+// Package benchutil defines the intersection benchmark's ray set, shared by
+// bench_test.go (`go test -bench`) and the benchmark's geom layer
+// (bench/layers.go), so both measure the same rays.
 package benchutil
 
 import (
@@ -11,32 +9,6 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/vecmath"
 )
-
-// GenScene is the generated scene in the perf trajectory: a canonical
-// scenegen spec, so the workload is reproducible from the name alone and
-// the generator's own cost shows up next to the hand-built rooms.
-const GenScene = "gen:office/seed=7/rooms=2/density=0.6"
-
-// Scenes is the scene set the perf trajectory tracks: the three bundled
-// rooms plus one procedurally generated office.
-var Scenes = []string{"cornell-box", "harpsichord-room", "computer-lab", GenScene}
-
-// ScalingWorkers is the worker-width sweep of the parallel-scaling suite:
-// the shared engine is measured at each width so BENCH_*.json answers "how
-// far from linear are we" with photons/s, efficiency versus linear, and
-// Mrays/s-per-core at 1→2→4→8 workers.
-var ScalingWorkers = []int{1, 2, 4, 8}
-
-// ScaleSweep is the scene-scale sweep: the grid family at patch counts
-// 10²→10⁴, so BENCH_*.json records how octree build, intersection and
-// tracing throughput scale with geometry size. The 10⁵ point exists
-// (gen:grid/seed=1/patches=100000) but is left out of the default sweep to
-// keep CI's bench-smoke fast; pass it to photon-bench -scenes to measure.
-var ScaleSweep = []string{
-	"gen:grid/seed=1/patches=100",
-	"gen:grid/seed=1/patches=1000",
-	"gen:grid/seed=1/patches=10000",
-}
 
 // Rays returns the deterministic intersection-benchmark ray set for a
 // scene: origins uniform in the slightly shrunk bounding box (fixed seed),

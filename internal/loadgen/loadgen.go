@@ -11,9 +11,7 @@
 // delay, shed 429s and tail blowup all land in the numbers.
 //
 // The report carries p50/p90/p99/p999 over successful requests, goodput
-// (successes per second of wall time), and the shed rate — the fields
-// BENCH_PR10_serve.json commits for the serving tier's measured
-// trajectory.
+// (successes per second of wall time), and the shed rate.
 package loadgen
 
 import (

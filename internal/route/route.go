@@ -65,10 +65,44 @@ func (c *Config) normalize() {
 	}
 }
 
-// replica is one backend and its health state.
+// replica is one backend and its health state. healthy is read on every
+// request without a lock; writes go through mu, which orders them against
+// downs, the count of passive mark-downs.
 type replica struct {
 	url     string
 	healthy atomic.Bool
+
+	mu    sync.Mutex
+	downs uint64
+}
+
+// markDown records a failed proxy attempt: the replica is down, and any
+// health probe already in flight is too old to mark it up again.
+func (rep *replica) markDown() {
+	rep.mu.Lock()
+	rep.downs++
+	rep.healthy.Store(false)
+	rep.mu.Unlock()
+}
+
+// downCount returns the number of passive mark-downs so far.
+func (rep *replica) downCount() uint64 {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return rep.downs
+}
+
+// probed applies the verdict of a health probe that started when the
+// mark-down count was downs, and reports whether the state changed. A
+// passing probe is ignored if a request failed while it was in flight:
+// the failure is newer evidence than the probe.
+func (rep *replica) probed(ok bool, downs uint64) (changed bool) {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if ok && rep.downs != downs {
+		return false
+	}
+	return rep.healthy.Swap(ok) != ok
 }
 
 // Router is the photon-route HTTP handler.
@@ -148,6 +182,7 @@ func (r *Router) healthLoop() {
 
 func (r *Router) checkAll() {
 	for _, rep := range r.replicas {
+		downs := rep.downCount()
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthInterval)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/healthz", nil)
 		ok := false
@@ -160,7 +195,7 @@ func (r *Router) checkAll() {
 			}
 		}
 		cancel()
-		if rep.healthy.Swap(ok) != ok && r.cfg.Log != nil {
+		if rep.probed(ok, downs) && r.cfg.Log != nil {
 			state := "DOWN"
 			if ok {
 				state = "UP"
@@ -347,7 +382,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		resp, err := r.client.Do(out)
 		if err != nil {
 			lastErr = err
-			rep.healthy.Store(false)
+			rep.markDown()
 			if r.cfg.Log != nil {
 				r.cfg.Log.Printf("replica %s: %v (trying next)", rep.url, err)
 			}

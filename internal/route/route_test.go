@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,6 +247,58 @@ func TestProxyRetriesPastDeadReplica(t *testing.T) {
 	resp.Body.Close()
 	if got := flakyN.Load(); got != before {
 		t.Errorf("marked-down replica was attempted again (%d -> %d renders)", before, got)
+	}
+}
+
+// TestStaleProbeKeepsReplicaDown: a health probe issued before a request
+// fails on a replica, and answered after it, must not mark the replica up
+// again — the failure is the newer verdict.
+func TestStaleProbeKeepsReplicaDown(t *testing.T) {
+	probing := make(chan struct{}, 1)
+	release := make(chan struct{})
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			select {
+			case probing <- struct{}{}:
+			default:
+			}
+			<-release
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+	}))
+	t.Cleanup(flaky.Close)
+	live, _ := backend(t, "live", http.StatusOK)
+
+	urls := []string{flaky.URL, live.URL}
+	scene := sceneRankedFirst(t, flaky.URL, urls)
+	r := newRouter(t, Config{Replicas: urls, HealthInterval: time.Hour})
+	releaseProbe := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseProbe) // before r.Close and flaky.Close, which wait for the probe
+	select {
+	case <-probing: // the health loop's first probe of flaky is in flight
+	case <-time.After(10 * time.Second):
+		t.Fatal("the router never probed the replica")
+	}
+	ts := httptest.NewServer(r)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/render?scene=" + scene)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "live" {
+		t.Fatalf("routed response = %d %q, want the live replica's", resp.StatusCode, body)
+	}
+	releaseProbe()
+	r.Close() // returns once the health loop has finished its pass
+	if r.replicas[0].healthy.Load() {
+		t.Error("a probe issued before the failure marked the replica up again")
 	}
 }
 

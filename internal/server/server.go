@@ -15,8 +15,8 @@
 //	           &quality=full|probe                          → image/png
 //	GET /scenes   → JSON list of built-in scenes + generator families
 //	GET /healthz  → liveness + cache occupancy
-//	GET /statz    → request/render/cache counters and timing totals (JSON)
-//	GET /metrics  → the same telemetry in Prometheus text format 0.0.4
+//	GET /metrics  → request/render/cache/admission telemetry in Prometheus
+//	                text format 0.0.4
 //
 // With Config.EnablePprof the standard net/http/pprof handlers are also
 // mounted under /debug/pprof/.
@@ -46,7 +46,7 @@
 // Config.QueueTimeout) and are shed with 429 + Retry-After when the queue
 // is full or the deadline passes — overload degrades into fast, explicit
 // rejections instead of a latency collapse. Shed counts and queue depth
-// are surfaced in /statz and /metrics.
+// are surfaced in /metrics.
 package server
 
 import (
@@ -156,7 +156,7 @@ func (c *Config) normalize() {
 // Metrics are the server's telemetry instruments, registered on the
 // server's obs.Registry so /metrics exports them in Prometheus text
 // format. Counters are monotone; the histograms carry the latency
-// distributions whose sums back the legacy render_ms total.
+// distributions.
 type Metrics struct {
 	Requests       *obs.Counter // every HTTP request
 	Renders        *obs.Counter // successful /render responses
@@ -249,7 +249,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/render", s.handleRender)
 	s.mux.HandleFunc("/scenes", s.handleScenes)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/statz", s.handleStatz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -265,12 +264,9 @@ func New(cfg Config) *Server {
 // process-level metrics alongside the server's own before serving.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// MetricsSnapshot returns the current counters (for tests and benches).
-// The key set is part of the /statz surface: the original seven counters
-// plus cache_evictions and shed. render_ms is the render histogram's sum
-// rounded (not truncated) to whole milliseconds; the exact float is the
-// render_seconds_sum field of /statz, which matches /metrics
-// photon_render_seconds_sum bit for bit.
+// MetricsSnapshot returns the current counters by name, for in-process
+// callers that sum them across servers (the benchmark's farm). render_ms
+// is the render histogram's sum rounded to whole milliseconds.
 func (s *Server) MetricsSnapshot() map[string]int64 {
 	return map[string]int64{
 		"requests":        s.metrics.Requests.Value(),
@@ -814,26 +810,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 		"cached":    resident,
 	})
-}
-
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	snap := s.MetricsSnapshot()
-	out := make(map[string]any, len(snap)+1)
-	for k, v := range snap {
-		out[k] = v
-	}
-	// Hit ratio over completed lookups; 0 before any /render arrives so
-	// the field is always present and always a number.
-	ratio := 0.0
-	if total := snap["cache_hits"] + snap["cache_misses"]; total > 0 {
-		ratio = float64(snap["cache_hits"]) / float64(total)
-	}
-	out["cache_hit_ratio"] = ratio
-	// The exact render-time total: the same float64 the /metrics
-	// photon_render_seconds_sum line prints (render_ms is this, rounded).
-	out["render_seconds_sum"] = s.metrics.RenderSeconds.Sum()
-	out["queue_depth"] = s.queued.Load()
-	writeJSON(w, out)
 }
 
 // handleMetrics serves the registry in Prometheus text format 0.0.4. The

@@ -158,9 +158,8 @@ func TestServeOnDemandScene(t *testing.T) {
 	if resp.Header.Get("X-Photons") == "" {
 		t.Error("X-Photons header missing")
 	}
-	m := s.MetricsSnapshot()
-	if m["renders"] != 1 || m["cache_misses"] != 1 {
-		t.Errorf("metrics after one scene render: %v", m)
+	if r, m := s.metrics.Renders.Value(), s.metrics.CacheMisses.Value(); r != 1 || m != 1 {
+		t.Errorf("renders/misses after one scene render = %d/%d, want 1/1", r, m)
 	}
 }
 
@@ -177,9 +176,8 @@ func TestServeGeneratedScene(t *testing.T) {
 	if _, err := png.Decode(bytes.NewReader(body)); err != nil {
 		t.Fatalf("generated scene response not a PNG: %v", err)
 	}
-	m := s.MetricsSnapshot()
-	if m["renders"] != 1 || m["cache_misses"] != 1 {
-		t.Errorf("metrics after one generated-scene render: %v", m)
+	if r, m := s.metrics.Renders.Value(), s.metrics.CacheMisses.Value(); r != 1 || m != 1 {
+		t.Errorf("renders/misses after one generated-scene render = %d/%d, want 1/1", r, m)
 	}
 	// Second hit comes from cache: the canonical spec is the cache key,
 	// so a permuted spelling of the same spec must also hit (not pay a
@@ -241,13 +239,11 @@ func TestServeConcurrentRequests(t *testing.T) {
 			t.Fatalf("client %d received different bytes for the identical request", i)
 		}
 	}
-	m := s.MetricsSnapshot()
-	if m["cache_misses"] != 1 {
-		t.Errorf("%d concurrent first requests caused %d loads, want 1 (singleflight)",
-			clients, m["cache_misses"])
+	if m := s.metrics.CacheMisses.Value(); m != 1 {
+		t.Errorf("%d concurrent first requests caused %d loads, want 1 (singleflight)", clients, m)
 	}
-	if m["renders"] != clients {
-		t.Errorf("renders = %d, want %d", m["renders"], clients)
+	if r := s.metrics.Renders.Value(); r != clients {
+		t.Errorf("renders = %d, want %d", r, clients)
 	}
 }
 
@@ -326,56 +322,15 @@ func TestServeCacheEviction(t *testing.T) {
 		t.Fatalf("late answer still failing after creation: %d: %s", resp.StatusCode, body)
 	}
 
-	if m := s.MetricsSnapshot(); m["errors_4xx"] == 0 {
+	if s.metrics.Errors4xx.Value() == 0 {
 		t.Error("4xx telemetry not counting")
 	}
 	_ = os.Remove(filepath.Join(dir, "late.pbf"))
 }
 
-// TestStatzContract pins the /statz satellite: application/json
-// Content-Type, well-formed JSON, the cache hit/miss/eviction counters
-// and a hit ratio consistent with them.
-func TestStatzContract(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{CacheSize: 1})
-	// One miss, one hit, then a second answer evicting the first.
-	get(t, ts.URL+"/render?answer=q.pbf&w=16&h=16")
-	get(t, ts.URL+"/render?answer=q.pbf&w=16&h=16")
-
-	resp, body := get(t, ts.URL+"/statz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/statz = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("/statz Content-Type = %q, want application/json", ct)
-	}
-	var statz struct {
-		Requests       int64    `json:"requests"`
-		Renders        int64    `json:"renders"`
-		CacheHits      int64    `json:"cache_hits"`
-		CacheMisses    int64    `json:"cache_misses"`
-		CacheEvictions *int64   `json:"cache_evictions"`
-		CacheHitRatio  *float64 `json:"cache_hit_ratio"`
-	}
-	if err := json.Unmarshal(body, &statz); err != nil {
-		t.Fatalf("/statz not JSON: %v\n%s", err, body)
-	}
-	if statz.CacheEvictions == nil || statz.CacheHitRatio == nil {
-		t.Fatalf("/statz missing eviction counter or hit ratio: %s", body)
-	}
-	if statz.CacheHits != 1 || statz.CacheMisses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", statz.CacheHits, statz.CacheMisses)
-	}
-	if want := 0.5; *statz.CacheHitRatio != want {
-		t.Errorf("cache_hit_ratio = %v, want %v", *statz.CacheHitRatio, want)
-	}
-	if *statz.CacheEvictions != 0 {
-		t.Errorf("cache_evictions = %d, want 0", *statz.CacheEvictions)
-	}
-}
-
 // TestMetricsEndpoint: /metrics must serve the Prometheus content type,
 // parse under the repo's own exposition validator, and carry the request
-// and cache families with values matching the JSON snapshot.
+// and cache families with values matching the server's counters.
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{})
 	get(t, ts.URL+"/render?answer=q.pbf&w=16&h=16")
@@ -400,13 +355,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		values[sample.Name] = sample.Value
 	}
-	snap := s.MetricsSnapshot()
-	for metric, key := range map[string]string{
-		"photon_http_requests_total":   "requests",
-		"photon_renders_total":         "renders",
-		"photon_cache_hits_total":      "cache_hits",
-		"photon_cache_misses_total":    "cache_misses",
-		"photon_cache_evictions_total": "cache_evictions",
+	for metric, c := range map[string]*obs.Counter{
+		"photon_http_requests_total":   s.metrics.Requests,
+		"photon_renders_total":         s.metrics.Renders,
+		"photon_cache_hits_total":      s.metrics.CacheHits,
+		"photon_cache_misses_total":    s.metrics.CacheMisses,
+		"photon_cache_evictions_total": s.metrics.CacheEvictions,
 	} {
 		got, ok := values[metric]
 		if !ok {
@@ -414,9 +368,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			continue
 		}
 		// The request counter ticks before the handler runs, so the
-		// scrape sees itself; the snapshot taken afterwards agrees.
-		if int64(got) != snap[key] {
-			t.Errorf("%s = %v, snapshot %s = %d", metric, got, key, snap[key])
+		// scrape sees itself; the counter read afterwards agrees.
+		if int64(got) != c.Value() {
+			t.Errorf("%s = %v, counter = %d", metric, got, c.Value())
 		}
 	}
 	if exp.Types["photon_http_request_seconds"] != "histogram" {

@@ -7,7 +7,6 @@ import (
 	"image/png"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,8 +84,7 @@ func TestCacheThrashOneSimulationPerKey(t *testing.T) {
 	// its entry pointer) before the fills are released; a request arriving
 	// after release could legitimately re-simulate an already-evicted key.
 	waitFor(t, "all lookups to attach", func() bool {
-		snap := s.MetricsSnapshot()
-		return snap["cache_hits"]+snap["cache_misses"] == 2*perKey
+		return s.metrics.CacheHits.Value()+s.metrics.CacheMisses.Value() == 2*perKey
 	})
 	close(gate)
 	wg.Wait()
@@ -162,9 +160,8 @@ func TestHeadRenderShortCircuits(t *testing.T) {
 	if got := resp.Header.Get("Content-Length"); got != "" && got != "0" {
 		t.Errorf("HEAD Content-Length = %q; no image was encoded", got)
 	}
-	snap := s.MetricsSnapshot()
-	if snap["renders"] != 0 {
-		t.Errorf("HEAD incremented renders to %d", snap["renders"])
+	if r := s.metrics.Renders.Value(); r != 0 {
+		t.Errorf("HEAD incremented renders to %d", r)
 	}
 	if n := s.metrics.RenderSeconds.Count(); n != 0 {
 		t.Errorf("HEAD observed %d render durations", n)
@@ -188,59 +185,6 @@ func TestWriteJSONSurfacesEncodeErrors(t *testing.T) {
 	writeJSON(rec, map[string]int{"ok": 1})
 	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
 		t.Errorf("writeJSON(ok) = %d, body %q", rec.Code, rec.Body.String())
-	}
-}
-
-// TestStatzMatchesMetricsExactly is the satellite bugfix test: the render
-// time total reported by /statz must be the same float64 the Prometheus
-// exposition prints for photon_render_seconds_sum — no truncation drift —
-// and render_ms must be that value rounded to milliseconds.
-func TestStatzMatchesMetricsExactly(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	get(t, ts.URL+"/render?answer=q.pbf&w=32&h=32")
-	get(t, ts.URL+"/render?answer=q.pbf&w=32&h=32&eye=2,0.5,1.5")
-
-	_, statzBody := get(t, ts.URL+"/statz")
-	var statz map[string]json.RawMessage
-	if err := json.Unmarshal(statzBody, &statz); err != nil {
-		t.Fatalf("/statz not JSON: %v", err)
-	}
-	raw, ok := statz["render_seconds_sum"]
-	if !ok {
-		t.Fatalf("/statz missing render_seconds_sum: %s", statzBody)
-	}
-	statzSum, err := strconv.ParseFloat(string(raw), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, metricsBody := get(t, ts.URL+"/metrics")
-	var metricsSum float64
-	found := false
-	for _, line := range strings.Split(string(metricsBody), "\n") {
-		if f, ok := strings.CutPrefix(line, "photon_render_seconds_sum "); ok {
-			metricsSum, err = strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("/metrics missing photon_render_seconds_sum")
-	}
-	if statzSum != metricsSum {
-		t.Errorf("/statz render_seconds_sum = %v, /metrics sum = %v — must agree exactly",
-			statzSum, metricsSum)
-	}
-	var ms struct {
-		RenderMs int64 `json:"render_ms"`
-	}
-	if err := json.Unmarshal(statzBody, &ms); err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(statzSum*1e3 + 0.5); ms.RenderMs != want {
-		t.Errorf("render_ms = %d, want round(%v*1e3) = %d", ms.RenderMs, statzSum, want)
 	}
 }
 
@@ -408,9 +352,8 @@ func TestOverloadShedsEndToEnd(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Errorf("admitted request = %d, want 200", code)
 	}
-	snap := s.MetricsSnapshot()
-	if snap["shed"] < 2 {
-		t.Errorf("shed counter = %d, want >= 2", snap["shed"])
+	if shed := s.metrics.Shed.Value(); shed < 2 {
+		t.Errorf("shed counter = %d, want >= 2", shed)
 	}
 	// The shed surface is on /metrics too.
 	_, body := get(t, ts.URL+"/metrics")
