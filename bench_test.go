@@ -264,7 +264,7 @@ func BenchmarkRenderWorkers(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RenderOpts(sc, sol, cam, RenderOptions{
+				if _, err := Render(sc, sol, cam, RenderOptions{
 					Exposure: 2, Workers: workers, Samples: 2,
 				}); err != nil {
 					b.Fatal(err)

@@ -82,7 +82,7 @@ func main() {
 		FovY: *fov, Width: *width, Height: *height,
 	}
 	start := time.Now()
-	img, err := photon.RenderOpts(scene, sol, cam, photon.RenderOptions{
+	img, err := photon.Render(scene, sol, cam, photon.RenderOptions{
 		Exposure: *exposure,
 		Workers:  *workers,
 		Samples:  *samples,

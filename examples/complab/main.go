@@ -61,7 +61,7 @@ func main() {
 		Up:     photon.V(0, 0, 1),
 		FovY:   70, Width: 400, Height: 300,
 	}
-	img, err := photon.RenderOpts(scene, photon.SolutionFromResult(sol.Result), cam,
+	img, err := photon.Render(scene, photon.SolutionFromResult(sol.Result), cam,
 		photon.RenderOptions{Workers: 4, Samples: 2})
 	if err != nil {
 		log.Fatal(err)

@@ -57,7 +57,7 @@ func main() {
 		v.cam.FovY = 65
 		v.cam.Width, v.cam.Height = 320, 240
 		t0 := time.Now()
-		img, err := photon.RenderOpts(scene, sol, v.cam,
+		img, err := photon.Render(scene, sol, v.cam,
 			photon.RenderOptions{Workers: 4})
 		if err != nil {
 			log.Fatal(err)

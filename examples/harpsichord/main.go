@@ -70,7 +70,7 @@ func main() {
 		Up:     photon.V(0, 0, 1),
 		FovY:   65, Width: 400, Height: 300,
 	}
-	img, err := photon.RenderOpts(scene, sol, cam, photon.RenderOptions{Workers: 4})
+	img, err := photon.Render(scene, sol, cam, photon.RenderOptions{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

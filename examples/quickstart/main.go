@@ -68,7 +68,7 @@ func main() {
 	//    The tile renderer is parallel like the simulation: 4 workers and
 	//    2×2 supersampling, with an image that is bit-identical at any
 	//    worker count (per-pixel deterministic jitter substreams).
-	img, err := photon.RenderOpts(scene2, loaded, photon.Camera{
+	img, err := photon.Render(scene2, loaded, photon.Camera{
 		Eye:    photon.V(2, 0.3, 1.5),
 		LookAt: photon.V(2, 4, 1.2),
 		Up:     photon.V(0, 0, 1),

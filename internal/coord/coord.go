@@ -340,12 +340,7 @@ func (c *coordinator) runAttempt(attempt int, tick *time.Ticker) (*dist.Result, 
 			CheckpointSink:  c.saveCheckpoint,
 			Resume:          resume,
 		}
-		var res *dist.Result
-		if c.job.Engine == "geo" {
-			res, err = dist.GeoRunRank(cm, c.scene, c.cfg, opts)
-		} else {
-			res, err = dist.RunRank(cm, c.scene, c.cfg, opts)
-		}
+		res, err := c.job.runRank(cm, c.scene, c.cfg, opts)
 		r0ch <- r0result{res: res, err: err}
 	}()
 

@@ -3,6 +3,7 @@ package coord
 import (
 	"encoding/gob"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,18 @@ func TestJobMatchesInProcessRun(t *testing.T) {
 	if res.Stats != want.Stats {
 		t.Fatalf("stats %+v, in-process Run gives %+v", res.Stats, want.Stats)
 	}
+	sameTraffic(t, res, want)
+}
+
+// sameTraffic requires the TCP job to send exactly the in-process run's
+// messages and bytes, pair by pair: both run one rank program.
+func sameTraffic(t *testing.T, got, want *dist.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Traffic, want.Traffic) {
+		t.Fatalf("traffic %d msgs / %d B %v, in-process run gives %d msgs / %d B %v",
+			got.Traffic.Messages, got.Traffic.Bytes, got.Traffic.PerPair,
+			want.Traffic.Messages, want.Traffic.Bytes, want.Traffic.PerPair)
+	}
 }
 
 func TestGeoJobMatchesInProcessRun(t *testing.T) {
@@ -84,6 +97,7 @@ func TestGeoJobMatchesInProcessRun(t *testing.T) {
 	if res.Forwards != want.Forwards {
 		t.Fatalf("forwards %d, in-process GeoRun gives %d", res.Forwards, want.Forwards)
 	}
+	sameTraffic(t, res, want)
 }
 
 func TestCheckpointingJobMatchesPlainJob(t *testing.T) {

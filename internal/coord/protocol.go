@@ -33,8 +33,10 @@ import (
 // WireVersion pins the control protocol AND the mesh payload encoding.
 // Bump it whenever a gob-registered engine type, a message tag, or the
 // round structure changes; the join handshake rejects mismatched
-// binaries so a stale worker can never silently corrupt a job.
-const WireVersion = 1
+// binaries so a stale worker can never silently corrupt a job. Version 2:
+// every run ends in one RankSnapshot gather (the section bundle and the
+// stats report are gone, and RankStats carries the geo forward count).
+const WireVersion = 2
 
 // Control message kinds. One envelope struct with a Kind discriminant
 // keeps the stream free of gob interface registration.

@@ -176,12 +176,17 @@ func runAssignment(m ctrlMsg, ln net.Listener, failAfter int) (*mpi.TCPComm, err
 			}
 		}
 	}
-	if m.Job.Engine == "geo" {
-		_, err = dist.GeoRunRank(comm, scene, cfg, opts)
-	} else {
-		_, err = dist.RunRank(comm, scene, cfg, opts)
-	}
+	_, err = m.Job.runRank(comm, scene, cfg, opts)
 	return comm, err
+}
+
+// runRank executes this process's rank of the job on c: the one place the
+// coordinator and the workers pick the engine's rank program.
+func (j JobSpec) runRank(c mpi.Communicator, scene *scenes.Scene, cfg dist.Config, opt dist.RankOptions) (*dist.Result, error) {
+	if j.Engine == "geo" {
+		return dist.GeoRunRank(c, scene, cfg, opt)
+	}
+	return dist.RunRank(c, scene, cfg, opt)
 }
 
 // loadScene resolves a JobSpec scene spec (built-in name or gen:… spec).

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bintree"
 	"repro/internal/core"
-	"repro/internal/mpi"
 )
 
 // CheckpointVersion pins the checkpoint encoding. Load rejects files
@@ -32,8 +30,9 @@ import (
 const CheckpointVersion = 1
 
 // RankSnapshot is one rank's complete mutable engine state as of a round
-// boundary: the trees it owns and its counters. Stats.BinSplits holds the
-// splits observed so far (the live engine folds them in only at the end).
+// boundary: the trees it owns and its counters. It is the message of the
+// one gather collective: a per-round checkpoint carries cloned trees, the
+// final gather of every run the live ones.
 type RankSnapshot struct {
 	Rank      int
 	RankStats RankStats
@@ -75,49 +74,39 @@ func (s RankSnapshot) ByteSize() int {
 	return n
 }
 
-// checkpointRound is the collective snapshot gather: every rank sends its
-// state to rank 0; rank 0 assembles the Checkpoint and hands it to sink.
-// The sink runs before the next round starts, so the live trees cannot
-// mutate under serialization.
-func checkpointRound(c mpi.Communicator, round int, forest *bintree.Forest,
-	owners []int, rs RankStats, st core.Stats, splits int64,
-	sink func(*Checkpoint) error,
-) error {
-	me := c.Rank()
-	st.BinSplits = splits
-	// Deep-copy the owned trees: the snapshot outlives this round (rank 0
-	// retains the assembled Checkpoint for resume, and the in-process
-	// transport passes pointers), while the live trees keep mutating.
-	sections := ownedSections(forest, owners, me)
-	for i := range sections {
-		sections[i].Tree = sections[i].Tree.Clone()
+// checkpoint is the per-round snapshot gather: the final gather's
+// collective with cloned trees, which rank 0 assembles into a Checkpoint
+// and hands to sink. The sink runs before the next round starts, so the
+// live trees cannot mutate under serialization.
+func (r *rankState) checkpoint(round int, sink func(*Checkpoint) error) error {
+	snaps, err := r.gatherSnapshots(true)
+	if err != nil || snaps == nil || sink == nil {
+		return err
 	}
-	snap := RankSnapshot{
-		Rank:      me,
-		RankStats: rs,
-		Stats:     st,
-		Sections:  sections,
-	}
-	if me != 0 {
-		return c.Send(0, tagCkpt, snap)
-	}
-	ck := &Checkpoint{Version: CheckpointVersion, Ranks: c.Size(), Round: round,
-		Snaps: make([]RankSnapshot, c.Size())}
-	ck.Snaps[0] = snap
-	for src := 1; src < c.Size(); src++ {
-		p, _, ok := c.Recv(src, tagCkpt)
-		if !ok {
-			return closedErr(c, "checkpoint gather")
-		}
-		ck.Snaps[src] = p.(RankSnapshot)
-	}
-	if sink == nil {
-		return nil
-	}
+	ck := &Checkpoint{Version: CheckpointVersion, Ranks: len(snaps), Round: round, Snaps: snaps}
 	if err := sink(ck); err != nil {
 		return fmt.Errorf("dist: persisting checkpoint at round %d: %w", round, err)
 	}
 	return nil
+}
+
+// restore puts this rank's owned trees and counters back exactly as they
+// stood after ck's round and returns the round to continue from. Photon
+// trajectories are pure functions of (seed, index), so the rounds replayed
+// after restore reproduce the original run's remaining work bit for bit.
+func (r *rankState) restore(ck *Checkpoint) (int, error) {
+	snap, err := ck.forRank(r.comm.Rank(), r.comm.Size())
+	if err != nil {
+		return 0, err
+	}
+	// Clone on the way in as well: the engine mutates these trees, and the
+	// Checkpoint must stay pristine for a later retry (a second failure
+	// before the next snapshot resumes from it again).
+	for _, s := range snap.Sections {
+		r.forest.ReplaceTree(s.Unit, s.Tree.Clone())
+	}
+	r.rs, r.st = snap.RankStats, snap.Stats
+	return ck.Round + 1, nil
 }
 
 // SaveCheckpoint atomically writes ck to path (write temp, rename).

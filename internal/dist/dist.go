@@ -3,9 +3,12 @@
 
 // Package dist implements the distributed-memory Photon engines — the
 // paper's central contribution (chapter 5) plus the dissertation's
-// chapter-6 "Massive Parallelism" variant. Ranks are in-process
-// message-passing workers on the mpi substrate, standing in for MPI
-// processes exactly as the paper's C code stands on MPI.
+// chapter-6 "Massive Parallelism" variant. Each engine is one SPMD rank
+// program written against mpi.Communicator, exactly as the paper's C code
+// is written against MPI: RunRank/GeoRunRank execute it as one rank of a
+// world on either transport (over TCP, one OS process per rank), and
+// Run/GeoRun execute it on every rank of an in-process world, from one
+// shared plan. Every run ends in the same collective gather to rank 0.
 //
 // Two engines share the physics of internal/core:
 //
@@ -69,12 +72,10 @@ func (b Balance) String() string {
 // per source, so tags never need to vary per round.
 const (
 	tagTally   = 100 // replicated engine: batched tally exchange
-	tagGather  = 101 // both engines: owned-section gather to rank 0
+	tagGather  = 101 // both engines: RankSnapshot gather to rank 0 (checkpoints and results)
 	tagFlight  = 102 // geo engine: photon-flight forwarding
 	tagGeoTal  = 103 // geo engine: off-owner tally routing
-	tagStats   = 104 // multi-process driver: per-rank stats gather to rank 0
-	tagTraffic = 105 // multi-process driver: per-rank traffic-row gather
-	tagCkpt    = 106 // replicated engine: per-round snapshot gather to rank 0
+	tagTraffic = 105 // both engines: per-rank traffic-row gather to rank 0
 	tagWork    = 110 // geo engine: termination AllReduce (uses +1 too)
 )
 
@@ -94,9 +95,10 @@ type Config struct {
 	// Sections is the per-axis section count per defining polygon; the
 	// ownership unit is one section tree, so cells=4 gives 16 units per
 	// polygon for the packer to spread (Run only; GeoRun owns whole
-	// polygons by region). Precedence: an explicit Sections wins; when 0,
-	// Core.Sections > 1 is adopted; otherwise 1. normalize syncs
-	// Core.Sections to the winner so the two views never diverge.
+	// polygons by region and refuses Sections > 1). Precedence: an
+	// explicit Sections wins; when 0, Core.Sections > 1 is adopted;
+	// otherwise 1. normalize syncs Core.Sections to the winner so the two
+	// views never diverge.
 	Sections int
 	// PrePhotons is the redundant pre-phase sample size used to estimate
 	// per-section load before ownership is assigned (Run only).
@@ -107,9 +109,11 @@ type Config struct {
 	// Obs, when non-nil, records the engines' interior phases. Rank 0 —
 	// representative under the bulk-synchronous schedule — records one
 	// span per round phase ("simulate/round/trace", "simulate/round/
-	// exchange", "simulate/round/apply"); every rank records its own wall
-	// time in the "rank_wall_ms" series, and GeoRun additionally sums the
-	// per-round forwarded-flight counts into "geo_round_forwards".
+	// exchange", "simulate/round/apply") and one "simulate/gather" span
+	// around the final collective (snapshot gather, traffic rows and the
+	// finalize barrier). Every rank records its wall time up to that
+	// gather in the "rank_wall_ms" series, and GeoRun additionally sums
+	// the per-round forwarded-flight counts into "geo_round_forwards".
 	Obs *obs.Run
 }
 
@@ -190,6 +194,9 @@ type RankStats struct {
 	// TalliesForwarded counts bin updates produced here but owned
 	// elsewhere, queued for exchange.
 	TalliesForwarded int64
+	// Forwards counts photon flights this rank handed to another space
+	// owner (GeoRun only).
+	Forwards int64
 	// Batches counts exchange rounds this rank participated in.
 	Batches int
 }
@@ -200,7 +207,8 @@ type Result struct {
 	*core.Result
 	// PerRank has one entry per rank in rank order.
 	PerRank []RankStats
-	// Traffic is the substrate's message/byte accounting for the run.
+	// Traffic is the substrate's message/byte accounting for the run,
+	// assembled from every rank's row.
 	Traffic mpi.Traffic
 	// Owners maps each ownership unit to its rank: forest sections for
 	// Run, defining polygons for GeoRun.
@@ -208,42 +216,16 @@ type Result struct {
 	// Balance is the pre-phase assignment Run packed (nil for GeoRun,
 	// which owns by geometry, not by load).
 	Balance *loadbalance.Assignment
-	// Forwards counts photon-flight migrations between space owners
-	// (GeoRun only; always 0 for Run).
+	// Forwards is the sum of the per-rank photon-flight migrations between
+	// space owners (GeoRun only; always 0 for Run).
 	Forwards int64
 }
 
-// OwnedSection carries one section tree from its owning rank to rank 0 —
-// during the final gather, and inside RankSnapshot for checkpoints.
+// OwnedSection carries one section tree from its owning rank to rank 0
+// inside a RankSnapshot.
 type OwnedSection struct {
 	Unit int
 	Tree *bintree.Tree
-}
-
-// sectionBundle is the gather payload: every section a rank owns.
-type sectionBundle struct {
-	Sections []OwnedSection
-}
-
-// ByteSize reports the realistic wire size of the bundled trees so the
-// gather shows up honestly in the traffic statistics.
-func (b sectionBundle) ByteSize() int {
-	n := 16
-	for _, s := range b.Sections {
-		n += 8 + int(s.Tree.MemoryBytes())
-	}
-	return n
-}
-
-// ownedSections collects the trees of the units rank me owns.
-func ownedSections(local *bintree.Forest, owners []int, me int) []OwnedSection {
-	var out []OwnedSection
-	for unit, owner := range owners {
-		if owner == me {
-			out = append(out, OwnedSection{Unit: unit, Tree: local.Tree(unit)})
-		}
-	}
-	return out
 }
 
 // closedErr wraps a Recv failure with the communicator's recorded cause,
@@ -254,38 +236,6 @@ func closedErr(c mpi.Communicator, during string) error {
 		return fmt.Errorf("dist: world closed during %s: %w", during, err)
 	}
 	return fmt.Errorf("dist: world closed during %s", during)
-}
-
-// gatherForest assembles the final answer on rank 0: every rank sends the
-// trees of the units it owns; rank 0 installs them into a fresh forest.
-// Ownership is disjoint, so assembly is exact — no approximate merging of
-// divergent adaptive binnings, which is precisely what ownership exists to
-// avoid. Returns the forest on rank 0, nil elsewhere.
-func gatherForest(c mpi.Communicator, local *bintree.Forest, owners []int, nPatches, cells int, binCfg bintree.Config) (*bintree.Forest, error) {
-	me := c.Rank()
-	if me != 0 {
-		bundle := sectionBundle{Sections: ownedSections(local, owners, me)}
-		if err := c.Send(0, tagGather, bundle); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	final := bintree.NewForestSectioned(nPatches, cells, binCfg)
-	for unit, owner := range owners {
-		if owner == 0 {
-			final.ReplaceTree(unit, local.Tree(unit))
-		}
-	}
-	for i := 1; i < c.Size(); i++ {
-		p, _, ok := c.Recv(mpi.AnySource, tagGather)
-		if !ok {
-			return nil, closedErr(c, "gather")
-		}
-		for _, s := range p.(sectionBundle).Sections {
-			final.ReplaceTree(s.Unit, s.Tree)
-		}
-	}
-	return final, nil
 }
 
 // shares splits photons across ranks, remainder to the low ranks — the

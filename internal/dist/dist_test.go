@@ -196,6 +196,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := GeoRun(sc, Config{Core: core.DefaultConfig(1000), Ranks: -1}); err == nil {
 		t.Error("negative ranks accepted by GeoRun")
 	}
+	// Geo owns whole polygons: a sectioning request is refused, not
+	// silently run unsectioned.
+	geo := DefaultGeoConfig(4000, 2)
+	geo.Sections = 4
+	if _, err := GeoRun(sc, geo); err == nil {
+		t.Error("sectioned forest accepted by GeoRun")
+	}
 }
 
 func TestBalanceString(t *testing.T) {

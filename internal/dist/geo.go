@@ -20,13 +20,12 @@ package dist
 // with the replicated engine's at any rank count.
 
 import (
-	"time"
+	"fmt"
 
 	"repro/internal/bintree"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/scenes"
 	"repro/internal/vecmath"
@@ -41,17 +40,27 @@ type geoFlight struct {
 }
 
 // geoPlan is the deterministic pre-run state every geo rank derives
-// identically: simulator, polygon ownership, and per-rank photon shares.
+// identically: normalized config, simulator, polygon ownership, and
+// per-rank photon shares.
 type geoPlan struct {
+	cfg        Config
 	sim        *core.Simulator
 	patchOwner []int
 	share      []int64
 	starts     []int64
 }
 
-// planGeo computes the geo engine's deterministic plan. cfg must already
-// be normalized.
+// planGeo normalizes cfg and computes the geo engine's deterministic plan.
+// Geo owns whole polygons by region — space ownership, not forest
+// ownership, is its distribution axis — so it refuses a sectioned forest
+// rather than silently running unsectioned.
 func planGeo(scene *scenes.Scene, cfg Config) (*geoPlan, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	if cfg.Sections > 1 {
+		return nil, fmt.Errorf("dist: geo does not support sectioned forests (Sections=%d)", cfg.Sections)
+	}
 	sim, err := core.NewSimulator(scene, cfg.Core)
 	if err != nil {
 		return nil, err
@@ -72,74 +81,36 @@ func planGeo(scene *scenes.Scene, cfg Config) (*geoPlan, error) {
 	for r := 1; r < cfg.Ranks; r++ {
 		starts[r] = starts[r-1] + share[r-1]
 	}
-	return &geoPlan{sim: sim, patchOwner: patchOwner, share: share, starts: starts}, nil
+	return &geoPlan{cfg: cfg, sim: sim, patchOwner: patchOwner, share: share, starts: starts}, nil
 }
 
-// GeoRun executes the geometry-distributed simulation.
+// GeoRun executes the geometry-distributed simulation: the rank program on
+// every rank of an in-process world, from one shared plan.
 func GeoRun(scene *scenes.Scene, cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
 	plan, err := planGeo(scene, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sim, patchOwner, share, starts := plan.sim, plan.patchOwner, plan.share, plan.starts
-	coreCfg := sim.Config() // normalized by NewSimulator
-	nPatches := len(scene.Geom.Patches)
+	return inProcess(plan.cfg.Ranks, plan.runRank)
+}
 
-	perRank := make([]RankStats, cfg.Ranks)
-	statsPerRank := make([]core.Stats, cfg.Ranks)
-	forwardsPerRank := make([]int64, cfg.Ranks)
-	var finalForest *bintree.Forest
-
-	world, err := mpi.Run(cfg.Ranks, func(c *mpi.Comm) error {
-		me := c.Rank()
-		g := &geoRank{
-			comm: c, scene: scene, sim: sim,
-			seed:       coreCfg.Seed,
-			batch:      int64(cfg.BatchSize),
-			photons:    coreCfg.Photons,
-			patchOwner: patchOwner,
-			forest:     bintree.NewForest(nPatches, coreCfg.Bin),
-			progress:   cfg.Progress,
-			obs:        cfg.Obs,
-			rs:         RankStats{Rank: me},
-		}
-		final, err := g.run(share[me], starts[me])
-		if err != nil {
-			return err
-		}
-		perRank[me] = g.rs
-		statsPerRank[me] = g.st
-		forwardsPerRank[me] = g.forwards
-		if me == 0 {
-			finalForest = final
-		}
-		return nil
-	})
-	if err != nil {
+// runRank is one geo rank's whole life: the round loop over its photon
+// share, then the final gather.
+func (p *geoPlan) runRank(c mpi.Communicator) (*Result, error) {
+	sim := p.sim
+	g := &geoRank{
+		rankState: newRankState(c, bintree.NewForest(len(sim.Scene().Geom.Patches), sim.Config().Bin), p.patchOwner, p.cfg.Obs),
+		scene:     sim.Scene(),
+		sim:       sim,
+		seed:      sim.Config().Seed,
+		batch:     int64(p.cfg.BatchSize),
+		photons:   sim.Config().Photons,
+		progress:  p.cfg.Progress,
+	}
+	if err := g.run(p.share[c.Rank()], p.starts[c.Rank()]); err != nil {
 		return nil, err
 	}
-
-	var total core.Stats
-	var forwards int64
-	for r := 0; r < cfg.Ranks; r++ {
-		total.Add(statsPerRank[r])
-		forwards += forwardsPerRank[r]
-	}
-	return &Result{
-		Result: &core.Result{
-			Scene:          scene,
-			Forest:         finalForest,
-			Stats:          total,
-			EmittedPhotons: total.PhotonsEmitted,
-		},
-		PerRank:  perRank,
-		Traffic:  world.TrafficStats(),
-		Owners:   patchOwner,
-		Forwards: forwards,
-	}, nil
+	return g.gatherResult(g.scene, nil)
 }
 
 // regionRank maps a world point to the rank owning its octree root region.
@@ -154,39 +125,25 @@ func regionRank(scene *scenes.Scene, p vecmath.Vec3, ranks int) int {
 	return reg % ranks
 }
 
-// geoRank is one rank's state for the duration of a GeoRun.
+// geoRank is one rank's state for the duration of a geo run; owners are
+// the polygon owners.
 type geoRank struct {
-	comm       mpi.Communicator
-	scene      *scenes.Scene
-	sim        *core.Simulator
-	seed       int64
-	batch      int64
-	photons    int64
-	patchOwner []int
-	forest     *bintree.Forest
-	progress   func(done, total int64)
-	obs        *obs.Run
-
-	st       core.Stats
-	rs       RankStats
-	forwards int64
-	splits   int64
+	*rankState
+	scene    *scenes.Scene
+	sim      *core.Simulator
+	seed     int64
+	batch    int64
+	photons  int64
+	progress func(done, total int64)
 	lastDone int64
 }
 
 func (g *geoRank) me() int { return g.comm.Rank() }
 
-func (g *geoRank) apply(t core.Tally) {
-	if g.forest.Add(int(t.Patch), t.Point, t.Power) {
-		g.splits++
-	}
-	g.rs.TalliesApplied++
-}
-
 // route delivers a tally to the hit polygon's owner: locally for owned
 // polygons, via the round's tally exchange for region-straddlers.
 func (g *geoRank) route(t core.Tally, tallyOut [][]core.Tally) {
-	if owner := g.patchOwner[t.Patch]; owner == g.me() {
+	if owner := g.owners[t.Patch]; owner == g.me() {
 		g.apply(t)
 	} else {
 		tallyOut[owner] = append(tallyOut[owner], t)
@@ -210,7 +167,7 @@ func (g *geoRank) trace(f geoFlight, photonsOut [][]geoFlight, tallyOut [][]core
 		if owner := regionRank(g.scene, h.Point, g.comm.Size()); owner != g.me() {
 			f.RngState = stream.State()
 			photonsOut[owner] = append(photonsOut[owner], f)
-			g.forwards++
+			g.rs.Forwards++
 			return
 		}
 		if !g.sim.Interact(stream, &f.Flight, &h, &g.st, deliver) {
@@ -239,26 +196,15 @@ func (g *geoRank) emit(globalIdx int64, photonsOut [][]geoFlight, tallyOut [][]c
 // run is the rank's round loop: drain forwarded flights, emit a batch,
 // exchange flights and tallies, and stop when a global reduction reports
 // no photon anywhere is still airborne or unemitted.
-func (g *geoRank) run(myShare, startIdx int64) (*bintree.Forest, error) {
+func (g *geoRank) run(myShare, startIdx int64) error {
 	c := g.comm
 	remaining := myShare
 	idx := startIdx
 	var pending []geoFlight
 
-	// Rank 0's round spans stand for the bulk-synchronous schedule (see
-	// Config.Obs); every rank contributes its own forward counts and wall
-	// time.
-	var spanObs *obs.Run
-	if g.me() == 0 {
-		spanObs = g.obs
-	}
-	var rankStart time.Time
-	if g.obs.Enabled() {
-		rankStart = time.Now()
-	}
 	round := 0
 	for {
-		traceSpan := spanObs.StartSpan("simulate/round/trace")
+		traceSpan := g.spans.StartSpan("simulate/round/trace")
 		photonsOut := make([][]geoFlight, c.Size())
 		tallyOut := make([][]core.Tally, c.Size())
 		for _, f := range pending {
@@ -285,18 +231,18 @@ func (g *geoRank) run(myShare, startIdx int64) (*bintree.Forest, error) {
 			g.obs.AddIndexed("geo_round_forwards", round, float64(fwd))
 		}
 
-		exchangeSpan := spanObs.StartSpan("simulate/round/exchange")
+		exchangeSpan := g.spans.StartSpan("simulate/round/exchange")
 		pin, err := mpi.AllToAll(c, tagFlight, photonsOut)
 		if err != nil {
 			exchangeSpan.End()
-			return nil, err
+			return err
 		}
 		tin, err := mpi.AllToAll(c, tagGeoTal, tallyOut)
 		exchangeSpan.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		applySpan := spanObs.StartSpan("simulate/round/apply")
+		applySpan := g.spans.StartSpan("simulate/round/apply")
 		for src := 0; src < c.Size(); src++ {
 			if src == g.me() {
 				continue
@@ -312,7 +258,7 @@ func (g *geoRank) run(myShare, startIdx int64) (*bintree.Forest, error) {
 
 		total, err := mpi.AllReduceSum(c, tagWork, float64(remaining)+float64(len(pending)))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if g.me() == 0 && g.progress != nil {
 			// The reduction counts unemitted plus airborne photons, so the
@@ -325,15 +271,7 @@ func (g *geoRank) run(myShare, startIdx int64) (*bintree.Forest, error) {
 			}
 		}
 		if total == 0 {
-			break
+			return nil
 		}
 	}
-	g.st.BinSplits = g.splits
-	if g.obs.Enabled() {
-		g.obs.SetIndexed("rank_wall_ms", g.me(), float64(time.Since(rankStart))/float64(time.Millisecond))
-	}
-	gatherSpan := spanObs.StartSpan("simulate/gather")
-	final, err := gatherForest(c, g.forest, g.patchOwner, len(g.scene.Geom.Patches), 1, g.sim.Config().Bin)
-	gatherSpan.End()
-	return final, err
 }

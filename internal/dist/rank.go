@@ -3,30 +3,35 @@
 
 package dist
 
-// Multi-process entry points: one OS process executes one rank of a
-// distributed simulation over any mpi.Communicator — in practice a
-// TCPComm mesh built by the coordinator/worker join protocol, but the
-// in-process Comm works identically (the transport conformance suite and
-// the in-process coord tests run exactly that).
+// The rank program. Each engine is one SPMD function of a communicator:
+// RunRank/GeoRunRank execute it as one rank of any mpi.Communicator world
+// — in practice a TCPComm mesh built by the coordinator/worker join
+// protocol, one OS process per rank — and Run/GeoRun execute it on every
+// rank of an in-process world. There is no second implementation, so
+// in-process and multi-process runs produce bit-identical forests,
+// identical stats and identical traffic — the cross-process conformance
+// contract, pinned by the subprocess tests at the repo root.
 //
-// Each process derives the whole deterministic plan (simulator, pre-phase
-// load estimate, ownership assignment, round count) redundantly from the
-// scene spec and config — the paper's redundant pre-phase generalized to
-// process startup — so a rank needs nothing from its peers before the
-// first exchange round. Rank 0 finishes holding the assembled Result;
-// every other rank returns nil. The engine bodies are the same functions
-// the in-process drivers call, so TCP ranks produce bit-identical forests
-// and stats — the cross-process conformance contract, pinned by the
-// subprocess tests at the repo root.
+// A multi-process rank derives the whole deterministic plan (simulator,
+// pre-phase load estimate, ownership assignment, round count) redundantly
+// from the scene spec and config — the paper's redundant pre-phase
+// generalized to process startup — so it needs nothing from its peers
+// before the first exchange round; the in-process engines plan once and
+// share the plan. Every run ends in one collective: each rank sends rank 0
+// its RankSnapshot (counters plus the trees it owns — the message the
+// per-round checkpoint also gathers) and then its traffic row. Rank 0
+// returns the assembled Result; every other rank returns nil.
 
 import (
 	"encoding/gob"
 	"fmt"
+	"time"
 
 	"repro/internal/bintree"
 	"repro/internal/core"
 	"repro/internal/loadbalance"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/scenes"
 )
 
@@ -34,21 +39,23 @@ import (
 // binary linking dist can exchange with any other. The set is part of the
 // wire format: changing it requires bumping coord's WireVersion.
 func init() {
-	gob.Register(sectionBundle{})
 	gob.Register(RankSnapshot{})
-	gob.Register(rankReport{})
 	gob.Register(trafficRow{})
 	mpi.RegisterAllToAllPayload[core.Tally]()
 	mpi.RegisterAllToAllPayload[geoFlight]()
 }
 
-// RankOptions carries the multi-process driver's per-rank knobs.
+// RankOptions carries the multi-process entry points' per-rank knobs. The
+// zero value — no checkpointing, no resume — is the in-process engines'
+// configuration.
 type RankOptions struct {
 	// CheckpointEvery enables coordinated checkpointing every N completed
 	// rounds (replicated engine only). Must agree across all ranks — the
 	// snapshot gather is a collective.
 	CheckpointEvery int
-	// CheckpointSink receives each assembled Checkpoint on rank 0.
+	// CheckpointSink receives each assembled Checkpoint on rank 0. A sink
+	// error aborts the run: a checkpoint that cannot be persisted is not a
+	// checkpoint.
 	CheckpointSink func(*Checkpoint) error
 	// Resume restarts the round loop from a prior Checkpoint. All ranks
 	// must be given the same Checkpoint.
@@ -58,22 +65,10 @@ type RankOptions struct {
 	AfterRound func(round int)
 }
 
-func (opt RankOptions) hooks() rankHooks {
-	return rankHooks{
-		checkpointEvery: opt.CheckpointEvery,
-		sink:            opt.CheckpointSink,
-		resume:          opt.Resume,
-		afterRound:      opt.AfterRound,
-	}
-}
-
 // RunRank executes one rank of the replicated-geometry engine on c.
 // cfg.Ranks must equal c.Size(). Rank 0 returns the assembled Result;
 // other ranks return (nil, nil) on success.
 func RunRank(c mpi.Communicator, scene *scenes.Scene, cfg Config, opt RankOptions) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
 	if cfg.Ranks != c.Size() {
 		return nil, fmt.Errorf("dist: config wants %d ranks, world has %d", cfg.Ranks, c.Size())
 	}
@@ -81,11 +76,7 @@ func RunRank(c mpi.Communicator, scene *scenes.Scene, cfg Config, opt RankOption
 	if err != nil {
 		return nil, err
 	}
-	forest, rs, st, err := runRank(c, plan.sim, cfg, plan.asn.Owner, plan.rounds, plan.binCfg, opt.hooks())
-	if err != nil {
-		return nil, err
-	}
-	return gatherRankResult(c, scene, forest, rs, st, 0, plan.asn.Owner, plan.asn)
+	return plan.runRank(c, opt)
 }
 
 // GeoRunRank executes one rank of the geometry-distributed engine on c.
@@ -95,43 +86,104 @@ func GeoRunRank(c mpi.Communicator, scene *scenes.Scene, cfg Config, opt RankOpt
 	if opt.CheckpointEvery > 0 || opt.Resume != nil {
 		return nil, fmt.Errorf("dist: checkpoint/resume supports the replicated engine only")
 	}
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
 	if cfg.Ranks != c.Size() {
 		return nil, fmt.Errorf("dist: config wants %d ranks, world has %d", cfg.Ranks, c.Size())
-	}
-	if cfg.Sections > 1 {
-		return nil, fmt.Errorf("dist: geo does not support sectioned forests (Sections=%d)", cfg.Sections)
 	}
 	plan, err := planGeo(scene, cfg)
 	if err != nil {
 		return nil, err
 	}
-	me := c.Rank()
-	g := &geoRank{
-		comm: c, scene: scene, sim: plan.sim,
-		seed:       plan.sim.Config().Seed,
-		batch:      int64(cfg.BatchSize),
-		photons:    plan.sim.Config().Photons,
-		patchOwner: plan.patchOwner,
-		forest:     bintree.NewForest(len(scene.Geom.Patches), plan.sim.Config().Bin),
-		progress:   cfg.Progress,
-		obs:        cfg.Obs,
-		rs:         RankStats{Rank: me},
-	}
-	final, err := g.run(plan.share[me], plan.starts[me])
+	return plan.runRank(c)
+}
+
+// inProcess runs rank on every rank of a fresh in-process world and
+// returns rank 0's Result: the in-process stand-in for launching one
+// process per rank.
+func inProcess(ranks int, rank func(c mpi.Communicator) (*Result, error)) (*Result, error) {
+	var res *Result
+	_, err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		r, err := rank(c)
+		if c.Rank() == 0 {
+			res = r
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return gatherRankResult(c, scene, final, g.rs, g.st, g.forwards, plan.patchOwner, nil)
+	return res, nil
 }
 
-// rankReport is the end-of-run per-rank telemetry gathered to rank 0.
-type rankReport struct {
-	RankStats RankStats
-	Stats     core.Stats
-	Forwards  int64
+// rankState is what the two engines' rank programs share: the
+// communicator, the local forest (only units this rank owns ever receive
+// tallies), the counters the final gather reports, and the observation
+// handles.
+type rankState struct {
+	comm   mpi.Communicator
+	forest *bintree.Forest
+	owners []int
+	rs     RankStats
+	st     core.Stats
+	obs    *obs.Run
+	// spans receives the round-phase spans: the run's observer on rank 0,
+	// nil elsewhere. The rounds are bulk-synchronous, so rank 0's timings
+	// stand for the schedule's wall time, while summing spans across
+	// concurrent ranks would not.
+	spans *obs.Run
+	start time.Time
+}
+
+func newRankState(c mpi.Communicator, forest *bintree.Forest, owners []int, o *obs.Run) *rankState {
+	r := &rankState{comm: c, forest: forest, owners: owners, rs: RankStats{Rank: c.Rank()}, obs: o}
+	if c.Rank() == 0 {
+		r.spans = o
+	}
+	if o.Enabled() {
+		r.start = time.Now()
+	}
+	return r
+}
+
+// apply adds one tally to a unit this rank owns.
+func (r *rankState) apply(t core.Tally) {
+	if r.forest.Add(int(t.Patch), t.Point, t.Power) {
+		r.st.BinSplits++
+	}
+	r.rs.TalliesApplied++
+}
+
+// gatherSnapshots is the one collective behind checkpoints and results:
+// every rank sends rank 0 its counters and the trees it owns, and rank 0
+// returns all snapshots in rank order (other ranks return nil). clone
+// deep-copies the trees, which a checkpoint needs: it outlives the round
+// (rank 0 retains it for resume, and the in-process transport passes
+// pointers) while the live trees keep mutating.
+func (r *rankState) gatherSnapshots(clone bool) ([]RankSnapshot, error) {
+	c := r.comm
+	me := c.Rank()
+	snap := RankSnapshot{Rank: me, RankStats: r.rs, Stats: r.st}
+	for unit, owner := range r.owners {
+		if owner == me {
+			t := r.forest.Tree(unit)
+			if clone {
+				t = t.Clone()
+			}
+			snap.Sections = append(snap.Sections, OwnedSection{Unit: unit, Tree: t})
+		}
+	}
+	if me != 0 {
+		return nil, c.Send(0, tagGather, snap)
+	}
+	snaps := make([]RankSnapshot, c.Size())
+	snaps[0] = snap
+	for src := 1; src < c.Size(); src++ {
+		p, _, ok := c.Recv(src, tagGather)
+		if !ok {
+			return nil, closedErr(c, "snapshot gather")
+		}
+		snaps[src] = p.(RankSnapshot)
+	}
+	return snaps, nil
 }
 
 // trafficRow is one rank's outgoing row of the world pair matrix.
@@ -139,21 +191,30 @@ type trafficRow struct {
 	Msgs, Bytes []int64
 }
 
-// gatherRankResult assembles the multi-process Result on rank 0: every
-// rank reports its stats and its traffic row (the row snapshot is taken
-// after the stats send, so only the row message itself goes uncounted).
-// Rank 0 merges the rows into the full pair matrix — this is what keeps
+// gatherResult ends a rank's run. It records the rank's wall time, gathers
+// every rank's snapshot to rank 0 and then every rank's traffic row (each
+// row taken after the snapshot send, so only the row messages themselves go
+// uncounted). Rank 0 installs the gathered trees into its own forest —
+// ownership is disjoint, so assembly is exact, with none of the approximate
+// merging of divergent adaptive binnings that ownership exists to avoid —
+// and merges the rows into the full pair matrix, which keeps
 // Traffic.SentByRank/RecvByRank meaningful when ranks are processes that
-// each observe only their own endpoints.
-func gatherRankResult(c mpi.Communicator, scene *scenes.Scene, forest *bintree.Forest,
-	rs RankStats, st core.Stats, forwards int64, owners []int, balance *loadbalance.Assignment,
-) (*Result, error) {
+// each observe only their own endpoints. Rank 0 returns the Result; other
+// ranks return nil.
+func (r *rankState) gatherResult(scene *scenes.Scene, balance *loadbalance.Assignment) (*Result, error) {
+	c := r.comm
 	me, size := c.Rank(), c.Size()
+	if r.obs.Enabled() {
+		r.obs.SetIndexed("rank_wall_ms", me, float64(time.Since(r.start))/float64(time.Millisecond))
+	}
+	span := r.spans.StartSpan("simulate/gather")
+	defer span.End()
+	snaps, err := r.gatherSnapshots(false)
+	if err != nil {
+		return nil, err
+	}
+	row := c.TrafficStats()
 	if me != 0 {
-		if err := c.Send(0, tagStats, rankReport{RankStats: rs, Stats: st, Forwards: forwards}); err != nil {
-			return nil, err
-		}
-		row := c.TrafficStats()
 		if err := c.Send(0, tagTraffic, trafficRow{Msgs: row.PerPair[me], Bytes: row.PerPairBytes[me]}); err != nil {
 			return nil, err
 		}
@@ -164,36 +225,32 @@ func gatherRankResult(c mpi.Communicator, scene *scenes.Scene, forest *bintree.F
 		return nil, c.Barrier()
 	}
 
-	perRank := make([]RankStats, size)
-	perRank[0] = rs
-	total := st
-	allForwards := forwards
-	for src := 1; src < size; src++ {
-		p, _, ok := c.Recv(src, tagStats)
-		if !ok {
-			return nil, closedErr(c, "stats gather")
+	res := &Result{
+		Result:  &core.Result{Scene: scene, Forest: r.forest},
+		PerRank: make([]RankStats, size),
+		Traffic: mpi.Traffic{PerPair: make([][]int64, size), PerPairBytes: make([][]int64, size)},
+		Owners:  r.owners,
+		Balance: balance,
+	}
+	for src, snap := range snaps {
+		for _, s := range snap.Sections {
+			r.forest.ReplaceTree(s.Unit, s.Tree)
 		}
-		rep := p.(rankReport)
-		perRank[src] = rep.RankStats
-		total.Add(rep.Stats)
-		allForwards += rep.Forwards
+		res.PerRank[src] = snap.RankStats
+		res.Stats.Add(snap.Stats)
+		res.Forwards += snap.RankStats.Forwards
 	}
+	res.EmittedPhotons = res.Stats.PhotonsEmitted
 
-	own := c.TrafficStats()
-	tr := mpi.Traffic{
-		PerPair:      make([][]int64, size),
-		PerPairBytes: make([][]int64, size),
-	}
-	tr.PerPair[0] = append([]int64(nil), own.PerPair[0]...)
-	tr.PerPairBytes[0] = append([]int64(nil), own.PerPairBytes[0]...)
+	tr := &res.Traffic
+	tr.PerPair[0], tr.PerPairBytes[0] = row.PerPair[0], row.PerPairBytes[0]
 	for src := 1; src < size; src++ {
 		p, _, ok := c.Recv(src, tagTraffic)
 		if !ok {
 			return nil, closedErr(c, "traffic gather")
 		}
 		row := p.(trafficRow)
-		tr.PerPair[src] = row.Msgs
-		tr.PerPairBytes[src] = row.Bytes
+		tr.PerPair[src], tr.PerPairBytes[src] = row.Msgs, row.Bytes
 	}
 	for i := range tr.PerPair {
 		for j := range tr.PerPair[i] {
@@ -207,17 +264,5 @@ func gatherRankResult(c mpi.Communicator, scene *scenes.Scene, forest *bintree.F
 	if err := c.Barrier(); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Result: &core.Result{
-			Scene:          scene,
-			Forest:         forest,
-			Stats:          total,
-			EmittedPhotons: total.PhotonsEmitted,
-		},
-		PerRank:  perRank,
-		Traffic:  tr,
-		Owners:   owners,
-		Balance:  balance,
-		Forwards: allForwards,
-	}, nil
+	return res, nil
 }

@@ -1,8 +1,8 @@
 package dist
 
 import (
-	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,32 +10,15 @@ import (
 	"repro/internal/scenes"
 )
 
-// runRanks drives fn as one rank per goroutine over an in-process world —
-// the same shape the coordinator/worker binaries have over TCP, so these
-// tests pin the multi-process entry points without sockets.
-func runRanks(t *testing.T, ranks int, fn func(c *mpi.Comm) (*Result, error)) *Result {
+// sameTraffic requires one pair matrix from both entry points, message for
+// message and byte for byte: they run one rank program.
+func sameTraffic(t *testing.T, got, want *Result) {
 	t.Helper()
-	var mu sync.Mutex
-	var res *Result
-	_, err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		r, err := fn(c)
-		if err != nil {
-			return err
-		}
-		if r != nil {
-			mu.Lock()
-			res = r
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.Traffic, want.Traffic) {
+		t.Fatalf("traffic %d msgs / %d B %v, in-process engine gives %d msgs / %d B %v",
+			got.Traffic.Messages, got.Traffic.Bytes, got.Traffic.PerPair,
+			want.Traffic.Messages, want.Traffic.Bytes, want.Traffic.PerPair)
 	}
-	if res == nil {
-		t.Fatal("no rank returned a result")
-	}
-	return res
 }
 
 func TestRunRankMatchesRun(t *testing.T) {
@@ -44,14 +27,16 @@ func TestRunRankMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const photons = 20000
-	cfg := DefaultConfig(photons, 3)
-	want, err := Run(sc, cfg)
+	want, err := Run(sc, DefaultConfig(photons, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runRanks(t, 3, func(c *mpi.Comm) (*Result, error) {
+	got, err := inProcess(3, func(c mpi.Communicator) (*Result, error) {
 		return RunRank(c, sc, DefaultConfig(photons, 3), RankOptions{})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g, w := got.Forest.Fingerprint(), want.Forest.Fingerprint(); g != w {
 		t.Fatalf("fingerprint %x, in-process Run gives %x", g, w)
 	}
@@ -66,6 +51,7 @@ func TestRunRankMatchesRun(t *testing.T) {
 	if got.Forwards != 0 {
 		t.Fatalf("replicated engine reported %d forwards", got.Forwards)
 	}
+	sameTraffic(t, got, want)
 	conserved(t, got)
 }
 
@@ -79,9 +65,12 @@ func TestGeoRunRankMatchesGeoRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runRanks(t, 3, func(c *mpi.Comm) (*Result, error) {
+	got, err := inProcess(3, func(c mpi.Communicator) (*Result, error) {
 		return GeoRunRank(c, sc, DefaultGeoConfig(photons, 3), RankOptions{})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g, w := got.Forest.Fingerprint(), want.Forest.Fingerprint(); g != w {
 		t.Fatalf("fingerprint %x, in-process GeoRun gives %x", g, w)
 	}
@@ -91,6 +80,12 @@ func TestGeoRunRankMatchesGeoRun(t *testing.T) {
 	if got.Forwards != want.Forwards {
 		t.Fatalf("forwards %d, in-process GeoRun gives %d", got.Forwards, want.Forwards)
 	}
+	for r := range want.PerRank {
+		if got.PerRank[r] != want.PerRank[r] {
+			t.Fatalf("rank %d stats %+v, in-process GeoRun gives %+v", r, got.PerRank[r], want.PerRank[r])
+		}
+	}
+	sameTraffic(t, got, want)
 }
 
 func TestGeoRunRankRejectsCheckpointing(t *testing.T) {
@@ -98,15 +93,11 @@ func TestGeoRunRankRejectsCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mpi.Run(1, func(c *mpi.Comm) error {
-		_, err := GeoRunRank(c, sc, DefaultGeoConfig(1000, 1), RankOptions{CheckpointEvery: 1})
-		if err == nil {
-			return fmt.Errorf("geo accepted checkpointing")
-		}
-		return nil
+	_, err = inProcess(1, func(c mpi.Communicator) (*Result, error) {
+		return GeoRunRank(c, sc, DefaultGeoConfig(1000, 1), RankOptions{CheckpointEvery: 1})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("geo accepted checkpointing")
 	}
 }
 
@@ -131,7 +122,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	var mu sync.Mutex
 	var saved *Checkpoint
 	path := filepath.Join(t.TempDir(), "ckpt.gob")
-	full := runRanks(t, ranks, func(c *mpi.Comm) (*Result, error) {
+	full, err := inProcess(ranks, func(c mpi.Communicator) (*Result, error) {
 		return RunRank(c, sc, mkCfg(), RankOptions{
 			CheckpointEvery: 1,
 			CheckpointSink: func(ck *Checkpoint) error {
@@ -151,14 +142,20 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			},
 		})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if saved == nil {
 		t.Fatal("no checkpoint captured; lower BatchSize")
 	}
 	t.Logf("resuming from round %d of a %d-round run", saved.Round, full.PerRank[0].Batches)
 
-	resumed := runRanks(t, ranks, func(c *mpi.Comm) (*Result, error) {
+	resumed, err := inProcess(ranks, func(c mpi.Communicator) (*Result, error) {
 		return RunRank(c, sc, mkCfg(), RankOptions{Resume: saved})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g, w := resumed.Forest.Fingerprint(), full.Forest.Fingerprint(); g != w {
 		t.Fatalf("resumed fingerprint %x, uninterrupted run gives %x", g, w)
 	}

@@ -16,7 +16,6 @@ package engine
 // their configs.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -141,10 +140,30 @@ type distEngine struct{}
 func (distEngine) Name() string { return "distributed" }
 
 func (distEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+	return runDist("distributed", scene, cfg, dist.DefaultConfig, dist.Run)
+}
+
+type geoEngine struct{}
+
+func (geoEngine) Name() string { return "geo" }
+
+// Run passes an explicit Core.Sections through like the replicated
+// adapter; dist.GeoRun refuses Sections > 1, since geo owns whole polygons.
+func (geoEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+	return runDist("geo", scene, cfg, dist.DefaultGeoConfig, dist.GeoRun)
+}
+
+// runDist is the body of both message-passing adapters: it maps cfg onto
+// the engine's defaults (an explicit Core.Sections or BatchSize wins), runs
+// the engine, and wraps its result with the distribution telemetry.
+func runDist(name string, scene *scenes.Scene, cfg Config,
+	defaults func(photons int64, ranks int) dist.Config,
+	run func(*scenes.Scene, dist.Config) (*dist.Result, error),
+) (*Solution, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dcfg := dist.DefaultConfig(cfg.Core.Photons, cfg.workers())
+	dcfg := defaults(cfg.Core.Photons, cfg.workers())
 	dcfg.Core = cfg.Core
 	dcfg.Balance = cfg.Balance
 	if cfg.Core.Sections > 0 {
@@ -160,56 +179,14 @@ func (distEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
 	if cfg.Obs.Enabled() {
 		start = time.Now()
 	}
-	res, err := dist.Run(scene, dcfg)
+	res, err := run(scene, dcfg)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
 	sol := &Solution{Result: res.Result, Dist: res}
 	if cfg.Obs.Enabled() {
-		observe(cfg.Obs, "distributed", time.Since(start), sol)
-	}
-	return sol, nil
-}
-
-type geoEngine struct{}
-
-func (geoEngine) Name() string { return "geo" }
-
-func (geoEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	// Geo owns whole polygons by region; its forest is never sectioned:
-	// space ownership, not forest ownership, is its distribution axis.
-	// Refuse rather than silently ignore an explicit sectioning request —
-	// the one engine-specific Sections mismatch.
-	if cfg.Core.Sections > 1 {
-		return nil, fmt.Errorf("engine: geo does not support sectioned forests (Sections=%d)", cfg.Core.Sections)
-	}
-	dcfg := dist.DefaultGeoConfig(cfg.Core.Photons, cfg.workers())
-	sections := dcfg.Sections
-	dcfg.Core = cfg.Core
-	dcfg.Core.Sections = sections
-	dcfg.Sections = sections
-	if cfg.BatchSize > 0 {
-		dcfg.BatchSize = cfg.BatchSize
-	}
-	dcfg.Progress = cfg.Progress
-	dcfg.Obs = cfg.Obs
-	span := cfg.Obs.StartSpan("simulate")
-	var start time.Time
-	if cfg.Obs.Enabled() {
-		start = time.Now()
-	}
-	res, err := dist.GeoRun(scene, dcfg)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Result: res.Result, Dist: res}
-	if cfg.Obs.Enabled() {
-		observe(cfg.Obs, "geo", time.Since(start), sol)
+		observe(cfg.Obs, name, time.Since(start), sol)
 	}
 	return sol, nil
 }

@@ -2,8 +2,9 @@ package photon
 
 // Multi-process conformance: the photon-coord / photon-worker binaries —
 // real OS processes joined over TCP — must produce bit-identical forests
-// and identical statistics to the in-process distributed engine, at any
-// rank count, and a killed-and-replaced worker must not change the
+// identical statistics and, without checkpoints, identical traffic to the
+// in-process distributed engine, at any rank count, and a
+// killed-and-replaced worker must not change the
 // answer. These tests exec the actual binaries, so they pin the whole
 // stack: join handshake, mesh build, gob wire format, checkpoint gather,
 // and resume.
@@ -30,6 +31,8 @@ type coordSummary struct {
 	Stats       core.Stats       `json:"stats"`
 	PerRank     []dist.RankStats `json:"perRank"`
 	Forwards    int64            `json:"forwards"`
+	Messages    int64            `json:"messages"`
+	Bytes       int64            `json:"bytes"`
 }
 
 var (
@@ -186,6 +189,16 @@ func assertMatches(t *testing.T, sum coordSummary, want *dist.Result, log string
 	}
 }
 
+// assertSameTraffic: a job without checkpoints sends exactly the in-process
+// run's messages and bytes, because both run one rank program.
+func assertSameTraffic(t *testing.T, sum coordSummary, want *dist.Result) {
+	t.Helper()
+	if sum.Messages != want.Traffic.Messages || sum.Bytes != want.Traffic.Bytes {
+		t.Errorf("traffic %d msgs / %d B, in-process engine gives %d msgs / %d B",
+			sum.Messages, sum.Bytes, want.Traffic.Messages, want.Traffic.Bytes)
+	}
+}
+
 func TestMultiProcessConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs subprocesses")
@@ -199,6 +212,7 @@ func TestMultiProcessConformance(t *testing.T) {
 				"-ranks", fmt.Sprint(ranks), "-checkpoint-every", "0",
 			}, ranks-1, nil)
 			assertMatches(t, sum, want, log)
+			assertSameTraffic(t, sum, want)
 			assertCleanTeardown(t, log)
 		})
 	}
@@ -209,6 +223,7 @@ func TestMultiProcessConformance(t *testing.T) {
 			"-ranks", "2", "-engine", "geo",
 		}, 1, nil)
 		assertMatches(t, sum, want, log)
+		assertSameTraffic(t, sum, want)
 		assertCleanTeardown(t, log)
 	})
 }

@@ -33,7 +33,7 @@
 //
 //	scene, _ := photon.SceneByName("cornell-box")
 //	sol, _ := photon.Simulate(scene, photon.Config{Photons: 1e6})
-//	img, _ := photon.Render(scene, sol, photon.Camera{...})
+//	img, _ := photon.Render(scene, sol, photon.Camera{...}, photon.RenderOptions{})
 package photon
 
 import (
@@ -316,15 +316,11 @@ func SimulateProgress(scene *Scene, cfg Config, progress Progress) (*Solution, e
 	return &Solution{inner: answer.FromResult(sol.Result), stats: sol.Stats}, nil
 }
 
-// Render produces the image seen by cam from the solution. The scene must
-// be the one the solution was computed for (use Solution.Scene after
-// loading from disk).
-func Render(scene *Scene, sol *Solution, cam Camera) (*image.RGBA, error) {
-	return RenderOpts(scene, sol, cam, RenderOptions{})
-}
-
-// RenderOpts is Render with explicit tone-mapping options.
-func RenderOpts(scene *Scene, sol *Solution, cam Camera, opts RenderOptions) (*image.RGBA, error) {
+// Render produces the image seen by cam from the solution, tone-mapped and
+// sampled per opts (the zero value is the default). The scene must be the
+// one the solution was computed for (use Solution.Scene after loading from
+// disk).
+func Render(scene *Scene, sol *Solution, cam Camera, opts RenderOptions) (*image.RGBA, error) {
 	return view.Render(scene, sol.inner.Forest, cam, opts)
 }
 

@@ -81,7 +81,7 @@ func TestEndToEndSimulateSaveLoadRender(t *testing.T) {
 	img, err := Render(sc2, loaded, Camera{
 		Eye: V(2, 0.3, 1.5), LookAt: V(2, 4, 1.2), Up: V(0, 0, 1),
 		FovY: 70, Width: 40, Height: 30,
-	})
+	}, RenderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

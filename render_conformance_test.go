@@ -149,7 +149,7 @@ func TestRenderSolutionRoundTrip(t *testing.T) {
 
 	cam := sceneCamera("quickstart")
 	opts := RenderOptions{Exposure: 2, Workers: 4, Samples: 2}
-	a, err := RenderOpts(sc, sol, cam, opts)
+	a, err := Render(sc, sol, cam, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRenderSolutionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RenderOpts(lsc, loaded, cam, opts)
+	b, err := Render(lsc, loaded, cam, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
