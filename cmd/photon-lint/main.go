@@ -1,5 +1,5 @@
-// photon-lint is the project's vet tool: five analyzers that enforce the
-// determinism and transport contracts statically (see internal/analysis).
+// photon-lint is the project's vet tool: four analyzers that enforce the
+// determinism contracts statically (see internal/analysis).
 //
 // Run it through the vet driver:
 //

@@ -1,8 +1,7 @@
 // Package analysis is photon-lint's analyzer suite: static checks that
-// enforce the determinism and transport contracts the conformance matrices
-// pin at runtime (bit-identical forests across engines, one gob codec per
-// connection, zero-alloc disabled observability, lock-guarded forest
-// mutation).
+// enforce the determinism contracts the conformance matrices pin at
+// runtime (bit-identical forests across engines, zero-alloc disabled
+// observability, lock-guarded forest mutation).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic — but is built on the standard library only
@@ -83,7 +82,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondeterm, GobConn, FloatReduce, ObsGate, Locked}
+	return []*Analyzer{Nondeterm, FloatReduce, ObsGate, Locked}
 }
 
 // commentIsDirective reports whether c is exactly `//<name>` optionally

@@ -15,10 +15,6 @@ func TestFloatReduce(t *testing.T) {
 	analysistest.Run(t, analysis.FloatReduce, "floatreduce")
 }
 
-func TestGobConn(t *testing.T) {
-	analysistest.Run(t, analysis.GobConn, "gobconn")
-}
-
 func TestObsGate(t *testing.T) {
 	analysistest.Run(t, analysis.ObsGate, "obsgate")
 }

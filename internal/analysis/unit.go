@@ -85,7 +85,7 @@ func Main() {
 		}
 	}
 
-	// Analyzer-selection flags (-nondeterm, -gobconn=true, …): run only
+	// Analyzer-selection flags (-nondeterm, -locked=true, …): run only
 	// the named subset when any is enabled.
 	var cfgFile string
 	var patterns []string

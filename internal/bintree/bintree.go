@@ -324,24 +324,6 @@ func (t *Tree) Leaves() int { return t.leaves }
 // Nodes returns the total node count.
 func (t *Tree) Nodes() int { return t.nodes }
 
-// Clone returns a deep copy sharing no nodes with the original — the
-// checkpointing engine snapshots live trees with it, so a retained
-// snapshot must not alias state the round loop keeps mutating.
-func (t *Tree) Clone() *Tree {
-	c := *t
-	c.root = t.root.clone()
-	return &c
-}
-
-func (n *Node) clone() *Node {
-	c := *n
-	if n.left != nil {
-		c.left = n.left.clone()
-		c.right = n.right.clone()
-	}
-	return &c
-}
-
 // MaxDepth returns the deepest leaf's depth.
 func (t *Tree) MaxDepth() int {
 	max := 0

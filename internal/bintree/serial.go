@@ -5,6 +5,7 @@ package bintree
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -32,53 +33,58 @@ import (
 
 const forestMagic = "PBF2"
 
+// maxDecodeDepth bounds the node recursion of a decode: a hostile stream
+// of ever-narrower splits must fail cleanly, not exhaust the stack. Real
+// trees stop at Config.MaxDepth (24 by default).
+const maxDecodeDepth = 1024
+
 // EncodeForest writes the forest to w.
 func EncodeForest(w io.Writer, f *Forest) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(forestMagic); err != nil {
-		return err
-	}
-	if err := writeAll(bw, f.cfg.SplitSigma, int64(f.cfg.MinCount), int64(f.cfg.MaxDepth),
-		int64(f.cells), int64(len(f.trees))); err != nil {
-		return err
-	}
+	b := appendFloats([]byte(forestMagic), f.cfg.SplitSigma)
+	b = appendInts(b, f.cfg.MinCount, int64(f.cfg.MaxDepth), int64(f.cells), int64(len(f.trees)))
 	for _, t := range f.trees {
-		if err := writeAll(bw,
-			t.root.lo[0], t.root.lo[1], t.root.lo[2], t.root.lo[3],
-			t.root.hi[0], t.root.hi[1], t.root.hi[2], t.root.hi[3],
-			t.total); err != nil {
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
-		if err := encodeNode(bw, t.root); err != nil {
-			return err
-		}
+		b = appendTree(b[:0], t)
+	}
+	if _, err := bw.Write(b); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-func writeAll(w io.Writer, vals ...interface{}) error {
-	for _, v := range vals {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
+// appendTree appends one tree's root domain, total and node stream.
+func appendTree(b []byte, t *Tree) []byte {
+	b = appendFloats(b, t.root.lo[:]...)
+	b = appendFloats(b, t.root.hi[:]...)
+	return appendNode(appendInts(b, t.total), t.root)
 }
 
-func encodeNode(w io.Writer, n *Node) error {
+func appendNode(b []byte, n *Node) []byte {
 	if n.IsLeaf() {
-		if err := writeAll(w, byte(0), n.count, n.power.R, n.power.G, n.power.B); err != nil {
-			return err
-		}
-		return writeAll(w, n.halfLo[0], n.halfLo[1], n.halfLo[2], n.halfLo[3], int64(n.depth))
+		b = appendInts(append(b, 0), n.count)
+		b = appendFloats(b, n.power.R, n.power.G, n.power.B)
+		b = appendInts(b, n.halfLo[:]...)
+		return appendInts(b, int64(n.depth))
 	}
-	if err := writeAll(w, byte(1), byte(n.splitAxis), n.splitAt); err != nil {
-		return err
+	b = appendFloats(append(b, 1, byte(n.splitAxis)), n.splitAt)
+	return appendNode(appendNode(b, n.left), n.right)
+}
+
+func appendFloats(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	if err := encodeNode(w, n.left); err != nil {
-		return err
+	return b
+}
+
+func appendInts(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	return encodeNode(w, n.right)
+	return b
 }
 
 // DecodeForest reads a forest written by EncodeForest.
@@ -91,13 +97,12 @@ func DecodeForest(r io.Reader) (*Forest, error) {
 	if string(magic) != forestMagic {
 		return nil, fmt.Errorf("bintree: bad magic %q", magic)
 	}
-	var cfg Config
-	var minCount, maxDepth, cells, nTrees int64
-	if err := readAll(br, &cfg.SplitSigma, &minCount, &maxDepth, &cells, &nTrees); err != nil {
-		return nil, err
+	d := &decoder{r: br}
+	cfg := Config{SplitSigma: d.f64(), MinCount: d.i64(), MaxDepth: int(d.i64())}
+	cells, nTrees := d.i64(), d.i64()
+	if d.err != nil {
+		return nil, d.err
 	}
-	cfg.MinCount = minCount
-	cfg.MaxDepth = int(maxDepth)
 	if nTrees < 0 || nTrees > 1<<31 {
 		return nil, fmt.Errorf("bintree: implausible tree count %d", nTrees)
 	}
@@ -106,64 +111,84 @@ func DecodeForest(r io.Reader) (*Forest, error) {
 	}
 	f := &Forest{cfg: cfg, trees: make([]*Tree, nTrees), cells: int(cells)}
 	for i := range f.trees {
-		var lo, hi [numAxes]float64
-		if err := readAll(br,
-			&lo[0], &lo[1], &lo[2], &lo[3],
-			&hi[0], &hi[1], &hi[2], &hi[3]); err != nil {
-			return nil, err
-		}
-		for a := 0; a < numAxes; a++ {
-			if !(lo[a] < hi[a]) || math.IsNaN(lo[a]) || math.IsNaN(hi[a]) {
-				return nil, fmt.Errorf("bintree: tree %d has invalid domain", i)
-			}
-		}
-		t := &Tree{cfg: cfg}
-		if err := readAll(br, &t.total); err != nil {
-			return nil, err
-		}
-		root, nodes, leaves, err := decodeNode(br, lo, hi, 0)
-		if err != nil {
+		var err error
+		if f.trees[i], err = decodeTree(d, cfg); err != nil {
 			return nil, fmt.Errorf("bintree: tree %d: %w", i, err)
 		}
-		t.root, t.nodes, t.leaves = root, nodes, leaves
-		f.trees[i] = t
 	}
 	return f, nil
 }
 
-func readAll(r io.Reader, vals ...interface{}) error {
-	for _, v := range vals {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
+// decodeTree reads a tree written by appendTree.
+func decodeTree(d *decoder, cfg Config) (*Tree, error) {
+	var lo, hi [numAxes]float64
+	for a := range lo {
+		lo[a] = d.f64()
+	}
+	for a := range hi {
+		hi[a] = d.f64()
+	}
+	t := &Tree{cfg: cfg, total: d.i64()}
+	if d.err != nil {
+		return nil, d.err
+	}
+	for a := 0; a < numAxes; a++ {
+		if !(lo[a] < hi[a]) || math.IsNaN(lo[a]) || math.IsNaN(hi[a]) {
+			return nil, fmt.Errorf("invalid domain")
 		}
 	}
-	return nil
+	var err error
+	t.root, t.nodes, t.leaves, err = decodeNode(d, lo, hi, 0)
+	return t, err
 }
 
-func decodeNode(r io.Reader, lo, hi [numAxes]float64, depth int) (n *Node, nodes, leaves int, err error) {
-	var tag byte
-	if err := binary.Read(r, binary.LittleEndian, &tag); err != nil {
-		return nil, 0, 0, err
+// decoder reads little-endian fields from r through one reused buffer.
+// The first failure sticks in err, and every later read returns zero.
+type decoder struct {
+	r   io.Reader
+	buf [8]byte
+	err error
+}
+
+func (d *decoder) read(n int) []byte {
+	if d.err == nil {
+		_, d.err = io.ReadFull(d.r, d.buf[:n])
+	}
+	if d.err != nil {
+		clear(d.buf[:n])
+	}
+	return d.buf[:n]
+}
+
+func (d *decoder) u8() byte     { return d.read(1)[0] }
+func (d *decoder) i64() int64   { return int64(binary.LittleEndian.Uint64(d.read(8))) }
+func (d *decoder) f64() float64 { return math.Float64frombits(binary.LittleEndian.Uint64(d.read(8))) }
+
+func decodeNode(d *decoder, lo, hi [numAxes]float64, depth int) (n *Node, nodes, leaves int, err error) {
+	if depth > maxDecodeDepth {
+		return nil, 0, 0, fmt.Errorf("node nesting deeper than %d", maxDecodeDepth)
 	}
 	n = &Node{lo: lo, hi: hi, depth: depth}
-	switch tag {
-	case 0:
-		var d int64
-		if err := readAll(r, &n.count, &n.power.R, &n.power.G, &n.power.B,
-			&n.halfLo[0], &n.halfLo[1], &n.halfLo[2], &n.halfLo[3], &d); err != nil {
-			return nil, 0, 0, err
+	switch tag := d.u8(); {
+	case d.err != nil:
+		return nil, 0, 0, d.err
+	case tag == 0:
+		n.count = d.i64()
+		n.power = RGB{R: d.f64(), G: d.f64(), B: d.f64()}
+		for a := range n.halfLo {
+			n.halfLo[a] = d.i64()
 		}
-		n.depth = int(d)
-		return n, 1, 1, nil
-	case 1:
-		var axis byte
-		if err := readAll(r, &axis, &n.splitAt); err != nil {
-			return nil, 0, 0, err
+		n.depth = int(d.i64())
+		return n, 1, 1, d.err
+	case tag == 1:
+		axis, at := d.u8(), d.f64()
+		if d.err != nil {
+			return nil, 0, 0, d.err
 		}
 		if axis >= numAxes {
 			return nil, 0, 0, fmt.Errorf("invalid split axis %d", axis)
 		}
-		n.splitAxis = Axis(axis)
+		n.splitAxis, n.splitAt = Axis(axis), at
 		if n.splitAt <= lo[axis] || n.splitAt >= hi[axis] || math.IsNaN(n.splitAt) {
 			return nil, 0, 0, fmt.Errorf("split at %g outside bin [%g,%g)", n.splitAt, lo[axis], hi[axis])
 		}
@@ -172,10 +197,10 @@ func decodeNode(r io.Reader, lo, hi [numAxes]float64, depth int) (n *Node, nodes
 		rlo[axis] = n.splitAt
 		var ln, rn *Node
 		var lNodes, lLeaves, rNodes, rLeaves int
-		if ln, lNodes, lLeaves, err = decodeNode(r, lo, lhi, depth+1); err != nil {
+		if ln, lNodes, lLeaves, err = decodeNode(d, lo, lhi, depth+1); err != nil {
 			return nil, 0, 0, err
 		}
-		if rn, rNodes, rLeaves, err = decodeNode(r, rlo, hi, depth+1); err != nil {
+		if rn, rNodes, rLeaves, err = decodeNode(d, rlo, hi, depth+1); err != nil {
 			return nil, 0, 0, err
 		}
 		n.left, n.right = ln, rn
@@ -183,4 +208,29 @@ func decodeNode(r io.Reader, lo, hi [numAxes]float64, depth int) (n *Node, nodes
 	default:
 		return nil, 0, 0, fmt.Errorf("invalid node tag %d", tag)
 	}
+}
+
+// MarshalBinary encodes one tree — its config, then the answer-file tree
+// layout — for the distributed engines' snapshot messages. The float bits
+// travel verbatim, so a decoded tree fingerprints identically.
+func (t *Tree) MarshalBinary() ([]byte, error) {
+	b := appendFloats(nil, t.cfg.SplitSigma)
+	return appendTree(appendInts(b, t.cfg.MinCount, int64(t.cfg.MaxDepth)), t), nil
+}
+
+// UnmarshalBinary decodes a tree written by MarshalBinary; data must hold
+// exactly one tree.
+func (t *Tree) UnmarshalBinary(data []byte) error {
+	r := bytes.NewReader(data)
+	d := &decoder{r: r}
+	cfg := Config{SplitSigma: d.f64(), MinCount: d.i64(), MaxDepth: int(d.i64())}
+	tree, err := decodeTree(d, cfg)
+	if err != nil {
+		return fmt.Errorf("bintree: tree: %w", err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("bintree: %d bytes after the tree", r.Len())
+	}
+	*t = *tree
+	return nil
 }

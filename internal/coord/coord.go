@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/gob"
 	"fmt"
 	"log"
 	"net"
@@ -39,7 +38,6 @@ type CoordOptions struct {
 type worker struct {
 	id   int
 	conn net.Conn
-	enc  *gob.Encoder
 
 	mu       sync.Mutex
 	lastSeen time.Time
@@ -146,31 +144,25 @@ func (c *coordinator) acceptLoop(ln net.Listener) {
 }
 
 func (c *coordinator) serveConn(id int, conn net.Conn) {
-	// One encoder and one decoder for the connection's whole life —
-	// including the reject path. Gob codecs buffer their stream, so a
-	// second construction over the same conn starts mid-stream (the
-	// gobconn analyzer enforces this).
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var hello ctrlMsg
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&hello); err != nil || hello.Kind != kindHello {
+	hello, err := readMsg(conn)
+	if err != nil || hello.Kind != kindHello {
 		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 	if hello.Version != WireVersion {
 		c.logf("rejecting worker speaking wire version %d (this coordinator speaks %d)", hello.Version, WireVersion)
-		enc.Encode(ctrlMsg{Kind: kindReject,
+		writeMsg(conn, ctrlMsg{Kind: kindReject,
 			Reason: fmt.Sprintf("wire version %d, coordinator speaks %d", hello.Version, WireVersion)})
 		conn.Close()
 		return
 	}
-	w := &worker{id: id, conn: conn, enc: enc}
+	w := &worker{id: id, conn: conn}
 	w.beat()
 	for {
-		var m ctrlMsg
-		if err := dec.Decode(&m); err != nil {
+		m, err := readMsg(conn)
+		if err != nil {
 			conn.Close()
 			c.events <- event{w: w, err: err}
 			return
@@ -290,15 +282,20 @@ func (c *coordinator) runAttempt(attempt int, tick *time.Ticker) (*dist.Result, 
 	}
 
 	resume := c.checkpoint()
+	var ckBytes []byte
 	if resume != nil {
 		c.logf("attempt %d: resuming %d ranks from round %d", attempt, c.job.Ranks, resume.Round)
+		if ckBytes, err = resume.MarshalBinary(); err != nil {
+			meshLn.Close()
+			return nil, err
+		}
 	} else {
 		c.logf("attempt %d: starting %d ranks from scratch", attempt, c.job.Ranks)
 	}
 	for i, w := range sel {
 		m := ctrlMsg{Kind: kindAssign, Rank: i + 1, Addrs: addrs,
-			Attempt: attempt, Job: c.job, Checkpoint: resume}
-		if err := w.enc.Encode(m); err != nil {
+			Attempt: attempt, Job: c.job, Checkpoint: ckBytes}
+		if err := writeMsg(w.conn, m); err != nil {
 			// The worker died between Ready and Assign; its reader event
 			// will clean it up. Abort before the mesh ever forms.
 			meshLn.Close()
@@ -396,7 +393,7 @@ func (c *coordinator) saveCheckpoint(ck *dist.Checkpoint) error {
 // shutdownWorkers tells every live worker the job is over.
 func (c *coordinator) shutdownWorkers() {
 	for w := range c.live {
-		w.enc.Encode(ctrlMsg{Kind: kindShutdown})
+		writeMsg(w.conn, ctrlMsg{Kind: kindShutdown})
 		w.conn.Close()
 	}
 }

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/gob"
 	"net"
 	"reflect"
 	"strings"
@@ -131,11 +130,11 @@ func TestHandshakeRejectsWrongWireVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(ctrlMsg{Kind: kindHello, Version: WireVersion + 1}); err != nil {
+	if err := writeMsg(conn, ctrlMsg{Kind: kindHello, Version: WireVersion + 1}); err != nil {
 		t.Fatal(err)
 	}
-	var m ctrlMsg
-	if err := gob.NewDecoder(conn).Decode(&m); err != nil {
+	m, err := readMsg(conn)
+	if err != nil {
 		t.Fatalf("expected a reject message, got %v", err)
 	}
 	if m.Kind != kindReject || !strings.Contains(m.Reason, "wire version") {

@@ -3,10 +3,12 @@
 // worker processes that join it over TCP, build the rank mesh, and each
 // execute one rank of a distributed engine.
 //
-// The control protocol is deliberately small. A worker dials the
+// The control protocol is deliberately small. Every control message is one
+// mpi frame whose body is the message's JSON — the same length-prefixed,
+// size-capped framing the rank mesh speaks. A worker dials the
 // coordinator, introduces itself with a versioned hello (the coordinator
-// rejects any binary speaking a different wire version — the gob payload
-// set and the engine round structure are both part of the format), then
+// rejects any binary speaking a different wire version — dist's message
+// encodings and the engine round structure are both part of the format), then
 // loops: open a fresh mesh listener, advertise it as Ready, receive an
 // Assign naming its rank, the full mesh address list, the job spec, and
 // (after a failure) the checkpoint to resume from, run the rank, report
@@ -24,22 +26,25 @@
 package coord
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/mpi"
 )
 
-// WireVersion pins the control protocol AND the mesh payload encoding.
-// Bump it whenever a gob-registered engine type, a message tag, or the
-// round structure changes; the join handshake rejects mismatched
-// binaries so a stale worker can never silently corrupt a job. Version 2:
-// every run ends in one RankSnapshot gather (the section bundle and the
-// stats report are gone, and RankStats carries the geo forward count).
-const WireVersion = 2
+// WireVersion pins the control protocol AND the mesh message encoding.
+// Bump it whenever a control message field, a dist message layout, a
+// message tag, or the round structure changes; the join handshake rejects
+// mismatched binaries so a stale worker can never silently corrupt a job.
+// Version 3: frames everywhere, JSON control bodies, dist's fixed
+// little-endian message set, and the checkpoint carried as its bytes.
+const WireVersion = 3
 
 // Control message kinds. One envelope struct with a Kind discriminant
-// keeps the stream free of gob interface registration.
+// keeps every control message one JSON shape.
 const (
 	kindHello     = "hello"     // worker→coord: version handshake
 	kindReject    = "reject"    // coord→worker: handshake refused, reason attached
@@ -62,7 +67,25 @@ type ctrlMsg struct {
 	Addrs      []string
 	Attempt    int
 	Job        JobSpec
-	Checkpoint *dist.Checkpoint
+	Checkpoint []byte // dist.Checkpoint.MarshalBinary; nil starts from scratch
+}
+
+// writeMsg sends one control message: a frame whose body is its JSON.
+func writeMsg(w io.Writer, m ctrlMsg) error {
+	body, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	return mpi.WriteFrame(w, 0, body)
+}
+
+// readMsg reads one control message.
+func readMsg(r io.Reader) (m ctrlMsg, err error) {
+	_, body, err := mpi.ReadFrame(r)
+	if err == nil {
+		err = json.Unmarshal(body, &m)
+	}
+	return m, err
 }
 
 // JobSpec is the deterministic job description. Every rank — coordinator

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/gob"
 	"fmt"
 	"log"
 	"net"
@@ -45,15 +44,13 @@ func RunWorker(addr string, opt WorkerOptions) error {
 		return err
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
 
-	// The heartbeat goroutine and the main loop share the encoder.
+	// The heartbeat goroutine and the main loop share the connection.
 	var sendMu sync.Mutex
 	send := func(m ctrlMsg) error {
 		sendMu.Lock()
 		defer sendMu.Unlock()
-		return enc.Encode(m)
+		return writeMsg(conn, m)
 	}
 
 	if err := send(ctrlMsg{Kind: kindHello, Version: WireVersion}); err != nil {
@@ -108,8 +105,8 @@ func RunWorker(addr string, opt WorkerOptions) error {
 			return fmt.Errorf("coord: sending ready: %w", err)
 		}
 
-		var m ctrlMsg
-		if err := dec.Decode(&m); err != nil {
+		m, err := readMsg(conn)
+		if err != nil {
 			ln.Close()
 			return fmt.Errorf("coord: control connection lost: %w", err)
 		}
@@ -159,15 +156,19 @@ func runAssignment(m ctrlMsg, ln net.Listener, failAfter int) (*mpi.TCPComm, err
 		ln.Close()
 		return nil, err
 	}
+	opts := dist.RankOptions{CheckpointEvery: m.Job.CheckpointEvery}
+	if m.Checkpoint != nil {
+		opts.Resume = new(dist.Checkpoint)
+		if err := opts.Resume.UnmarshalBinary(m.Checkpoint); err != nil {
+			ln.Close()
+			return nil, err
+		}
+	}
 	comm, err := mpi.NewTCPCommWithListener(m.Rank, m.Addrs, ln)
 	if err != nil {
 		return nil, err
 	}
 
-	opts := dist.RankOptions{
-		CheckpointEvery: m.Job.CheckpointEvery,
-		Resume:          m.Checkpoint,
-	}
 	if failAfter >= 0 {
 		opts.AfterRound = func(round int) {
 			if round >= failAfter {
@@ -198,23 +199,12 @@ func loadScene(spec string) (*scenes.Scene, error) {
 	return ctor()
 }
 
-// dialControl connects to the coordinator's control port, retrying
-// briefly so workers can be launched alongside the coordinator without
-// orchestrating startup order.
+// dialControl connects to the coordinator's control port, retrying so
+// workers may start before the coordinator listens.
 func dialControl(addr string) (net.Conn, error) {
-	deadline := time.Now().Add(mpi.DialTimeout)
-	wait := time.Millisecond
-	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("coord: dialing coordinator %s: %w", addr, err)
-		}
-		time.Sleep(wait)
-		if wait *= 2; wait > 250*time.Millisecond {
-			wait = 250 * time.Millisecond
-		}
+	conn, err := mpi.DialRetry(addr, mpi.DialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("coord: dialing coordinator %s: %w", addr, err)
 	}
+	return conn, nil
 }

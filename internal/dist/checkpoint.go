@@ -17,74 +17,49 @@ package dist
 // final forest fingerprints equal to an uninterrupted run's.
 
 import (
-	"encoding/gob"
 	"fmt"
 	"os"
 
 	"repro/internal/core"
 )
 
-// CheckpointVersion pins the checkpoint encoding. Load rejects files
-// written by a binary with a different pin, like the join handshake
-// rejects mismatched workers.
-const CheckpointVersion = 1
+// CheckpointVersion pins the checkpoint encoding (wire.go). Decoding
+// rejects bytes written by a binary with a different pin, like the join
+// handshake rejects mismatched workers. Version 2: the fixed little-endian
+// message set replaced gob.
+const CheckpointVersion = 2
 
 // RankSnapshot is one rank's complete mutable engine state as of a round
-// boundary: the trees it owns and its counters. It is the message of the
-// one gather collective: a per-round checkpoint carries cloned trees, the
-// final gather of every run the live ones.
+// boundary: its counters and the owned trees that have received a tally
+// (the rest equal fresh trees). Encoded (wire.go), it is the message of
+// the one gather collective — a per-round checkpoint keeps the gathered
+// bytes, the final gather of every run decodes them into rank 0's forest.
 type RankSnapshot struct {
-	Rank      int
 	RankStats RankStats
 	Stats     core.Stats
 	Sections  []OwnedSection
 }
 
-// Checkpoint is the coordinated whole-job snapshot after Round completed.
+// Checkpoint is the coordinated whole-job snapshot after Round completed:
+// every rank's encoded RankSnapshot, in rank order. Holding bytes, not
+// trees, keeps it immune to the live run: restoring decodes fresh trees,
+// so a checkpoint can seed any number of retries.
 type Checkpoint struct {
-	Version int
-	Ranks   int
-	Round   int
-	Snaps   []RankSnapshot
-}
-
-// forRank returns rank me's snapshot, validating that the checkpoint
-// matches the world it is being restored into.
-func (ck *Checkpoint) forRank(me, size int) (*RankSnapshot, error) {
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("dist: checkpoint version %d, this binary speaks %d", ck.Version, CheckpointVersion)
-	}
-	if ck.Ranks != size {
-		return nil, fmt.Errorf("dist: checkpoint has %d ranks, world has %d", ck.Ranks, size)
-	}
-	for i := range ck.Snaps {
-		if ck.Snaps[i].Rank == me {
-			return &ck.Snaps[i], nil
-		}
-	}
-	return nil, fmt.Errorf("dist: checkpoint has no snapshot for rank %d", me)
-}
-
-// ByteSize reports a realistic wire size for the snapshot gather.
-func (s RankSnapshot) ByteSize() int {
-	n := 128
-	for _, sec := range s.Sections {
-		n += 8 + int(sec.Tree.MemoryBytes())
-	}
-	return n
+	Round int
+	Snaps [][]byte
 }
 
 // checkpoint is the per-round snapshot gather: the final gather's
-// collective with cloned trees, which rank 0 assembles into a Checkpoint
-// and hands to sink. The sink runs before the next round starts, so the
-// live trees cannot mutate under serialization.
+// collective, whose bytes rank 0 keeps as a Checkpoint and hands to sink.
 func (r *rankState) checkpoint(round int, sink func(*Checkpoint) error) error {
-	snaps, err := r.gatherSnapshots(true)
+	snaps, err := r.gatherSnapshots()
 	if err != nil || snaps == nil || sink == nil {
 		return err
 	}
-	ck := &Checkpoint{Version: CheckpointVersion, Ranks: len(snaps), Round: round, Snaps: snaps}
-	if err := sink(ck); err != nil {
+	if snaps[0], err = r.snapshot(); err != nil {
+		return err
+	}
+	if err := sink(&Checkpoint{Round: round, Snaps: snaps}); err != nil {
 		return fmt.Errorf("dist: persisting checkpoint at round %d: %w", round, err)
 	}
 	return nil
@@ -95,15 +70,16 @@ func (r *rankState) checkpoint(round int, sink func(*Checkpoint) error) error {
 // trajectories are pure functions of (seed, index), so the rounds replayed
 // after restore reproduce the original run's remaining work bit for bit.
 func (r *rankState) restore(ck *Checkpoint) (int, error) {
-	snap, err := ck.forRank(r.comm.Rank(), r.comm.Size())
+	me, size := r.comm.Rank(), r.comm.Size()
+	if len(ck.Snaps) != size {
+		return 0, fmt.Errorf("dist: checkpoint has %d ranks, world has %d", len(ck.Snaps), size)
+	}
+	snap, err := r.install(ck.Snaps[me])
 	if err != nil {
 		return 0, err
 	}
-	// Clone on the way in as well: the engine mutates these trees, and the
-	// Checkpoint must stay pristine for a later retry (a second failure
-	// before the next snapshot resumes from it again).
-	for _, s := range snap.Sections {
-		r.forest.ReplaceTree(s.Unit, s.Tree.Clone())
+	if snap.RankStats.Rank != me {
+		return 0, fmt.Errorf("dist: checkpoint slot %d holds rank %d's snapshot", me, snap.RankStats.Rank)
 	}
 	r.rs, r.st = snap.RankStats, snap.Stats
 	return ck.Round + 1, nil
@@ -111,17 +87,12 @@ func (r *rankState) restore(ck *Checkpoint) (int, error) {
 
 // SaveCheckpoint atomically writes ck to path (write temp, rename).
 func SaveCheckpoint(path string, ck *Checkpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	data, err := ck.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o666); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -131,17 +102,13 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint, rejecting
 // version mismatches.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	var ck Checkpoint
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
+	if err := ck.UnmarshalBinary(data); err != nil {
 		return nil, fmt.Errorf("dist: decoding checkpoint %s: %w", path, err)
-	}
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("dist: checkpoint %s is version %d, this binary speaks %d", path, ck.Version, CheckpointVersion)
 	}
 	return &ck, nil
 }

@@ -142,11 +142,11 @@ func (g *geoRank) me() int { return g.comm.Rank() }
 
 // route delivers a tally to the hit polygon's owner: locally for owned
 // polygons, via the round's tally exchange for region-straddlers.
-func (g *geoRank) route(t core.Tally, tallyOut [][]core.Tally) {
+func (g *geoRank) route(t core.Tally, tallyOut [][]byte) {
 	if owner := g.owners[t.Patch]; owner == g.me() {
 		g.apply(t)
 	} else {
-		tallyOut[owner] = append(tallyOut[owner], t)
+		tallyOut[owner] = appendTally(tallyOut[owner], t)
 		g.rs.TalliesForwarded++
 	}
 }
@@ -155,7 +155,7 @@ func (g *geoRank) route(t core.Tally, tallyOut [][]core.Tally) {
 // crosses into foreign space (then it is queued for forwarding). The
 // physics is core's own — Intersect then Simulator.Interact — with a
 // region-ownership check between intersection and interaction.
-func (g *geoRank) trace(f geoFlight, photonsOut [][]geoFlight, tallyOut [][]core.Tally) {
+func (g *geoRank) trace(f geoFlight, photonsOut, tallyOut [][]byte) {
 	stream := rng.NewFromState(f.RngState)
 	deliver := func(t core.Tally) { g.route(t, tallyOut) }
 	var h geom.Hit
@@ -166,7 +166,7 @@ func (g *geoRank) trace(f geoFlight, photonsOut [][]geoFlight, tallyOut [][]core
 		}
 		if owner := regionRank(g.scene, h.Point, g.comm.Size()); owner != g.me() {
 			f.RngState = stream.State()
-			photonsOut[owner] = append(photonsOut[owner], f)
+			photonsOut[owner] = appendFlight(photonsOut[owner], f)
 			g.rs.Forwards++
 			return
 		}
@@ -183,7 +183,7 @@ func (g *geoRank) trace(f geoFlight, photonsOut [][]geoFlight, tallyOut [][]core
 // the first hit is foreign). The photon's whole life — emission draws and
 // flight draws — comes from its private core.PhotonStream substream, so
 // its trajectory matches every other engine's photon globalIdx exactly.
-func (g *geoRank) emit(globalIdx int64, photonsOut [][]geoFlight, tallyOut [][]core.Tally) {
+func (g *geoRank) emit(globalIdx int64, photonsOut, tallyOut [][]byte) {
 	stream := core.PhotonStream(g.seed, globalIdx)
 	fl := g.sim.EmitPhoton(stream, &g.st, func(t core.Tally) { g.route(t, tallyOut) })
 	g.rs.PhotonsTraced++
@@ -201,16 +201,18 @@ func (g *geoRank) run(myShare, startIdx int64) error {
 	remaining := myShare
 	idx := startIdx
 	var pending []geoFlight
+	var tallies []core.Tally
+	// Applied batches are recycled as the next round's buffers to their senders.
+	photonsOut := make([][]byte, c.Size())
+	tallyOut := make([][]byte, c.Size())
 
 	round := 0
 	for {
 		traceSpan := g.spans.StartSpan("simulate/round/trace")
-		photonsOut := make([][]geoFlight, c.Size())
-		tallyOut := make([][]core.Tally, c.Size())
 		for _, f := range pending {
 			g.trace(f, photonsOut, tallyOut)
 		}
-		pending = nil
+		pending = pending[:0]
 
 		n := min(g.batch, remaining)
 		for i := int64(0); i < n; i++ {
@@ -223,7 +225,7 @@ func (g *geoRank) run(myShare, startIdx int64) error {
 		if g.obs.Enabled() {
 			var fwd int64
 			for _, fl := range photonsOut {
-				fwd += int64(len(fl))
+				fwd += int64(len(fl) / flightBytes)
 			}
 			// Same round index on every rank (the rounds are aligned by the
 			// collectives), so the series entry is the global per-round
@@ -247,10 +249,16 @@ func (g *geoRank) run(myShare, startIdx int64) error {
 			if src == g.me() {
 				continue
 			}
-			for _, t := range tin[src] {
+			if tallies, err = appendBatch(tallies[:0], tin[src], tallyBytes, tallyAt); err != nil {
+				return err
+			}
+			if pending, err = appendBatch(pending, pin[src], flightBytes, flightAt); err != nil {
+				return err
+			}
+			for _, t := range tallies {
 				g.apply(t)
 			}
-			pending = append(pending, pin[src]...)
+			photonsOut[src], tallyOut[src] = pin[src][:0], tin[src][:0]
 		}
 		applySpan.End()
 		g.rs.Batches++

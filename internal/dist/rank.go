@@ -17,13 +17,13 @@ package dist
 // from the scene spec and config — the paper's redundant pre-phase
 // generalized to process startup — so it needs nothing from its peers
 // before the first exchange round; the in-process engines plan once and
-// share the plan. Every run ends in one collective: each rank sends rank 0
-// its RankSnapshot (counters plus the trees it owns — the message the
-// per-round checkpoint also gathers) and then its traffic row. Rank 0
-// returns the assembled Result; every other rank returns nil.
+// share the plan. Every message is one of the fixed encodings in wire.go,
+// on either transport. Every run ends in one collective: each rank sends
+// rank 0 its encoded RankSnapshot (counters plus the trees it owns — the
+// message the per-round checkpoint also gathers) and then its traffic row.
+// Rank 0 returns the assembled Result; every other rank returns nil.
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -34,16 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenes"
 )
-
-// init registers every concrete type the engines put on the wire, so any
-// binary linking dist can exchange with any other. The set is part of the
-// wire format: changing it requires bumping coord's WireVersion.
-func init() {
-	gob.Register(RankSnapshot{})
-	gob.Register(trafficRow{})
-	mpi.RegisterAllToAllPayload[core.Tally]()
-	mpi.RegisterAllToAllPayload[geoFlight]()
-}
 
 // RankOptions carries the multi-process entry points' per-rank knobs. The
 // zero value — no checkpointing, no resume — is the in-process engines'
@@ -152,43 +142,56 @@ func (r *rankState) apply(t core.Tally) {
 	r.rs.TalliesApplied++
 }
 
-// gatherSnapshots is the one collective behind checkpoints and results:
-// every rank sends rank 0 its counters and the trees it owns, and rank 0
-// returns all snapshots in rank order (other ranks return nil). clone
-// deep-copies the trees, which a checkpoint needs: it outlives the round
-// (rank 0 retains it for resume, and the in-process transport passes
-// pointers) while the live trees keep mutating.
-func (r *rankState) gatherSnapshots(clone bool) ([]RankSnapshot, error) {
-	c := r.comm
-	me := c.Rank()
-	snap := RankSnapshot{Rank: me, RankStats: r.rs, Stats: r.st}
+// snapshot encodes this rank's counters and the owned trees that have
+// received a tally. An untouched tree equals the fresh one every forest
+// starts with, so it need not travel.
+func (r *rankState) snapshot() ([]byte, error) {
+	me := r.comm.Rank()
+	snap := RankSnapshot{RankStats: r.rs, Stats: r.st}
 	for unit, owner := range r.owners {
-		if owner == me {
-			t := r.forest.Tree(unit)
-			if clone {
-				t = t.Clone()
-			}
+		if t := r.forest.Tree(unit); owner == me && t.Total() > 0 {
 			snap.Sections = append(snap.Sections, OwnedSection{Unit: unit, Tree: t})
 		}
 	}
-	if me != 0 {
+	return appendSnapshot(nil, &snap)
+}
+
+// install decodes a snapshot and puts its trees into this rank's forest.
+func (r *rankState) install(body []byte) (*RankSnapshot, error) {
+	snap, err := decodeSnapshot(body)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range snap.Sections {
+		if s.Unit < 0 || s.Unit >= r.forest.NumTrees() {
+			return nil, fmt.Errorf("dist: snapshot of rank %d holds unit %d of %d", snap.RankStats.Rank, s.Unit, r.forest.NumTrees())
+		}
+		r.forest.ReplaceTree(s.Unit, s.Tree)
+	}
+	return snap, nil
+}
+
+// gatherSnapshots is the one collective behind checkpoints and results:
+// every other rank sends rank 0 its encoded snapshot, and rank 0 returns
+// the bodies in rank order, its own (local) slot nil.
+func (r *rankState) gatherSnapshots() ([][]byte, error) {
+	c := r.comm
+	if c.Rank() != 0 {
+		snap, err := r.snapshot()
+		if err != nil {
+			return nil, err
+		}
 		return nil, c.Send(0, tagGather, snap)
 	}
-	snaps := make([]RankSnapshot, c.Size())
-	snaps[0] = snap
+	snaps := make([][]byte, c.Size())
 	for src := 1; src < c.Size(); src++ {
 		p, _, ok := c.Recv(src, tagGather)
 		if !ok {
 			return nil, closedErr(c, "snapshot gather")
 		}
-		snaps[src] = p.(RankSnapshot)
+		snaps[src] = p
 	}
 	return snaps, nil
-}
-
-// trafficRow is one rank's outgoing row of the world pair matrix.
-type trafficRow struct {
-	Msgs, Bytes []int64
 }
 
 // gatherResult ends a rank's run. It records the rank's wall time, gathers
@@ -209,13 +212,13 @@ func (r *rankState) gatherResult(scene *scenes.Scene, balance *loadbalance.Assig
 	}
 	span := r.spans.StartSpan("simulate/gather")
 	defer span.End()
-	snaps, err := r.gatherSnapshots(false)
+	snaps, err := r.gatherSnapshots()
 	if err != nil {
 		return nil, err
 	}
 	row := c.TrafficStats()
 	if me != 0 {
-		if err := c.Send(0, tagTraffic, trafficRow{Msgs: row.PerPair[me], Bytes: row.PerPairBytes[me]}); err != nil {
+		if err := c.Send(0, tagTraffic, appendTrafficRow(nil, row.PerPair[me], row.PerPairBytes[me])); err != nil {
 			return nil, err
 		}
 		// Finalize barrier: hold the mesh open until rank 0 has consumed
@@ -232,9 +235,11 @@ func (r *rankState) gatherResult(scene *scenes.Scene, balance *loadbalance.Assig
 		Owners:  r.owners,
 		Balance: balance,
 	}
-	for src, snap := range snaps {
-		for _, s := range snap.Sections {
-			r.forest.ReplaceTree(s.Unit, s.Tree)
+	res.PerRank[0], res.Stats, res.Forwards = r.rs, r.st, r.rs.Forwards
+	for src := 1; src < size; src++ {
+		snap, err := r.install(snaps[src])
+		if err != nil {
+			return nil, err
 		}
 		res.PerRank[src] = snap.RankStats
 		res.Stats.Add(snap.Stats)
@@ -249,8 +254,9 @@ func (r *rankState) gatherResult(scene *scenes.Scene, balance *loadbalance.Assig
 		if !ok {
 			return nil, closedErr(c, "traffic gather")
 		}
-		row := p.(trafficRow)
-		tr.PerPair[src], tr.PerPairBytes[src] = row.Msgs, row.Bytes
+		if tr.PerPair[src], tr.PerPairBytes[src], err = decodeTrafficRow(p, size); err != nil {
+			return nil, err
+		}
 	}
 	for i := range tr.PerPair {
 		for j := range tr.PerPair[i] {

@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/bintree"
 	"repro/internal/mpi"
 	"repro/internal/scenes"
 )
@@ -121,7 +123,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	var mu sync.Mutex
 	var saved *Checkpoint
-	path := filepath.Join(t.TempDir(), "ckpt.gob")
+	path := filepath.Join(t.TempDir(), "ckpt.bin")
 	full, err := inProcess(ranks, func(c mpi.Communicator) (*Result, error) {
 		return RunRank(c, sc, mkCfg(), RankOptions{
 			CheckpointEvery: 1,
@@ -170,17 +172,30 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 }
 
 func TestCheckpointRejectsWrongWorld(t *testing.T) {
-	ck := &Checkpoint{Version: CheckpointVersion, Ranks: 4, Round: 2,
-		Snaps: []RankSnapshot{{Rank: 0}}}
-	if _, err := ck.forRank(0, 3); err == nil {
+	w, err := mpi.NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRankState(w.Comm(2), bintree.NewForest(2, bintree.DefaultConfig()), []int{0, 1}, nil)
+	snap := func(rank int) []byte {
+		b, err := appendSnapshot(nil, &RankSnapshot{RankStats: RankStats{Rank: rank}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if _, err := r.restore(&Checkpoint{Round: 2, Snaps: [][]byte{snap(0), snap(1), snap(2), snap(3)}}); err == nil {
 		t.Fatal("accepted a 4-rank checkpoint in a 3-rank world")
 	}
-	ck.Ranks = 3
-	if _, err := ck.forRank(2, 3); err == nil {
+	if _, err := r.restore(&Checkpoint{Round: 2, Snaps: [][]byte{snap(0), snap(1), snap(1)}}); err == nil {
 		t.Fatal("accepted a checkpoint missing this rank's snapshot")
 	}
-	ck.Version = CheckpointVersion + 1
-	if _, err := ck.forRank(0, 3); err == nil {
+	data, err := (&Checkpoint{Round: 2, Snaps: [][]byte{snap(0), snap(1), snap(2)}}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data, CheckpointVersion+1)
+	if err := new(Checkpoint).UnmarshalBinary(data); err == nil {
 		t.Fatal("accepted a checkpoint from a different version")
 	}
 }

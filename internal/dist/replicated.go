@@ -126,17 +126,18 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 		}
 	}
 
-	// Foreign tallies per destination; owned tallies buffered so they can
-	// be applied at this rank's slot in the round's rank order. route is
-	// the Wave's deliver: it sees the chunk's tallies in photon order.
-	var outbox [][]core.Tally
-	var mine []core.Tally
+	// Foreign tallies encoded per destination; owned tallies buffered so
+	// they can be applied at this rank's slot in the round's rank order.
+	// route is the Wave's deliver: it sees the chunk's tallies in photon
+	// order. An applied batch is recycled as next round's outbox to its sender.
+	outbox := make([][]byte, size)
+	var mine, tallies []core.Tally
 	route := func(t core.Tally) {
 		unit := forest.UnitOf(int(t.Patch), t.Point)
 		if owner := owners[unit]; owner == me {
 			mine = append(mine, t)
 		} else {
-			outbox[owner] = append(outbox[owner], t)
+			outbox[owner] = appendTally(outbox[owner], t)
 			r.rs.TalliesForwarded++
 		}
 	}
@@ -148,8 +149,7 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 		lo := chunk * batch
 		hi := min(photons, lo+batch)
 		traceSpan := r.spans.StartSpan("simulate/round/trace")
-		outbox = make([][]core.Tally, size)
-		mine = nil
+		mine = mine[:0]
 		wave.Trace(lo, hi, &r.st, route)
 		traceSpan.End()
 		if hi > lo {
@@ -168,11 +168,18 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 			return nil, err
 		}
 		applySpan := r.spans.StartSpan("simulate/round/apply")
-		in[me] = mine
-		for _, tallies := range in {
-			for _, t := range tallies {
+		for src, body := range in {
+			ts := mine
+			if src != me {
+				if tallies, err = appendBatch(tallies[:0], body, tallyBytes, tallyAt); err != nil {
+					return nil, err
+				}
+				ts = tallies
+			}
+			for _, t := range ts {
 				r.apply(t)
 			}
+			outbox[src] = body[:0]
 		}
 		applySpan.End()
 		r.rs.Batches++

@@ -1,10 +1,22 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
 )
+
+// msg encodes an int as a message body; val decodes one (-1 for a body
+// of the wrong length).
+func msg(v int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+func val(b []byte) int {
+	if len(b) != 8 {
+		return -1
+	}
+	return int(binary.LittleEndian.Uint64(b))
+}
 
 // Transport conformance suite: every semantic test below runs against both
 // transports — the in-process World and the TCP mesh — through the one
@@ -71,7 +83,7 @@ func TestConformanceFIFOPerPair(t *testing.T) {
 			go func(src int) {
 				defer wg.Done()
 				for i := 0; i < k; i++ {
-					if err := w.comms[src].Send(0, 5, src*10000+i); err != nil {
+					if err := w.comms[src].Send(0, 5, msg(src*10000+i)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -84,7 +96,7 @@ func TestConformanceFIFOPerPair(t *testing.T) {
 			if !ok {
 				t.Fatal("recv failed")
 			}
-			if want := src*10000 + next[src]; p.(int) != want {
+			if want := src*10000 + next[src]; val(p) != want {
 				t.Fatalf("from %d got %v, want %d", src, p, want)
 			}
 			next[src]++
@@ -96,19 +108,19 @@ func TestConformanceFIFOPerPair(t *testing.T) {
 func TestConformanceAnySourceAnyTag(t *testing.T) {
 	eachTransport(t, 4, func(t *testing.T, w commWorld) {
 		for src := 1; src < 4; src++ {
-			if err := w.comms[src].Send(0, src, src); err != nil {
+			if err := w.comms[src].Send(0, src, msg(src)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Tag-selective receive out of arrival order, then wildcards.
 		p, src, ok := w.comms[0].Recv(AnySource, 3)
-		if !ok || src != 3 || p.(int) != 3 {
+		if !ok || src != 3 || val(p) != 3 {
 			t.Fatalf("tag-3 recv: %v from %d", p, src)
 		}
 		seen := map[int]bool{}
 		for i := 0; i < 2; i++ {
 			p, src, ok := w.comms[0].Recv(AnySource, AnyTag)
-			if !ok || p.(int) != src {
+			if !ok || val(p) != src {
 				t.Fatalf("wildcard recv: %v from %d", p, src)
 			}
 			seen[src] = true
@@ -121,11 +133,11 @@ func TestConformanceAnySourceAnyTag(t *testing.T) {
 
 func TestConformanceSelfSend(t *testing.T) {
 	eachTransport(t, 2, func(t *testing.T, w commWorld) {
-		if err := w.comms[1].Send(1, 9, 42); err != nil {
+		if err := w.comms[1].Send(1, 9, msg(42)); err != nil {
 			t.Fatal(err)
 		}
 		p, src, ok := w.comms[1].Recv(1, 9)
-		if !ok || src != 1 || p.(int) != 42 {
+		if !ok || src != 1 || val(p) != 42 {
 			t.Fatalf("self-send: %v from %d ok=%v", p, src, ok)
 		}
 	})
@@ -146,7 +158,7 @@ func TestConformanceBarrierUnderSendLoad(t *testing.T) {
 				c := w.comms[rank]
 				for round := 0; round < rounds; round++ {
 					// Concurrent load: a ring message per round.
-					if err := c.Send((rank+1)%4, 77, round); err != nil {
+					if err := c.Send((rank+1)%4, 77, msg(round)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -168,7 +180,7 @@ func TestConformanceBarrierUnderSendLoad(t *testing.T) {
 						t.Errorf("rank %d round %d: phase %d", rank, round, p)
 						return
 					}
-					if p, _, ok := c.Recv((rank+3)%4, 77); !ok || p.(int) != round {
+					if p, _, ok := c.Recv((rank+3)%4, 77); !ok || val(p) != round {
 						t.Errorf("rank %d round %d: ring got %v", rank, round, p)
 						return
 					}
@@ -205,46 +217,42 @@ func TestConformanceCloseUnblocksRecv(t *testing.T) {
 func TestConformanceTrafficAccounting(t *testing.T) {
 	// A fixed exchange must yield identical send rows and receive columns
 	// on both transports (each rank's own row/column — all a TCP rank can
-	// observe; the in-process world just sees everything at once).
+	// observe; the in-process world just sees everything at once), and
+	// every byte count is the exact sum of the bodies sent.
 	eachTransport(t, 3, func(t *testing.T, w commWorld) {
-		// rank 0 -> 1 twice, 1 -> 2 once, 2 -> 2 (self) once.
-		for _, s := range []struct{ from, to int }{{0, 1}, {0, 1}, {1, 2}, {2, 2}} {
-			if err := w.comms[s.from].Send(s.to, 4, int64(7)); err != nil {
+		sends := []struct {
+			from, to int
+			body     string
+		}{{0, 1, "ab"}, {0, 1, "cde"}, {1, 2, "fghi"}, {2, 2, "jklmnop"}, {1, 2, ""}}
+		for _, s := range sends {
+			if err := w.comms[s.from].Send(s.to, 4, []byte(s.body)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, r := range []struct{ rank, n int }{{1, 2}, {2, 2}} {
+		for _, r := range []struct{ rank, n int }{{1, 2}, {2, 3}} {
 			for i := 0; i < r.n; i++ {
 				if _, _, ok := w.comms[r.rank].Recv(AnySource, 4); !ok {
 					t.Fatal("recv failed")
 				}
 			}
 		}
-		wantRows := [][]int64{{0, 2, 0}, {0, 0, 1}, {0, 0, 1}}
-		for rank, want := range wantRows {
+		wantMsgs := [][]int64{{0, 2, 0}, {0, 0, 2}, {0, 0, 1}}
+		wantBytes := [][]int64{{0, 5, 0}, {0, 0, 4}, {0, 0, 7}}
+		for rank := range wantMsgs {
 			tr := w.comms[rank].TrafficStats()
-			msgs, _ := tr.SentByRank()
-			if msgs[rank] != want[0]+want[1]+want[2] {
-				t.Errorf("rank %d sent %d msgs, want %d", rank, msgs[rank], want[0]+want[1]+want[2])
-			}
-			for to, n := range want {
-				if tr.PerPair[rank][to] != n {
-					t.Errorf("rank %d PerPair[%d][%d] = %d, want %d", rank, rank, to, tr.PerPair[rank][to], n)
+			// Rows, from each sender's own snapshot.
+			for to := range wantMsgs[rank] {
+				if tr.PerPair[rank][to] != wantMsgs[rank][to] || tr.PerPairBytes[rank][to] != wantBytes[rank][to] {
+					t.Errorf("rank %d sent %d msgs / %d B to %d, want %d / %d", rank,
+						tr.PerPair[rank][to], tr.PerPairBytes[rank][to], to, wantMsgs[rank][to], wantBytes[rank][to])
 				}
 			}
-		}
-		// Receive columns, from each receiver's own snapshot.
-		wantCols := map[int][]int64{1: {2, 0, 0}, 2: {0, 1, 1}}
-		for rank, want := range wantCols {
-			tr := w.comms[rank].TrafficStats()
-			for from, n := range want {
-				if tr.PerPair[from][rank] != n {
-					t.Errorf("rank %d PerPair[%d][%d] = %d, want %d", rank, from, rank, tr.PerPair[from][rank], n)
+			// Columns, from each receiver's own snapshot.
+			for from := range wantMsgs {
+				if tr.PerPair[from][rank] != wantMsgs[from][rank] || tr.PerPairBytes[from][rank] != wantBytes[from][rank] {
+					t.Errorf("rank %d received %d msgs / %d B from %d, want %d / %d", rank,
+						tr.PerPair[from][rank], tr.PerPairBytes[from][rank], from, wantMsgs[from][rank], wantBytes[from][rank])
 				}
-			}
-			_, recvd := tr.RecvByRank()
-			if recvd[rank] <= 0 {
-				t.Errorf("rank %d recv bytes = %d", rank, recvd[rank])
 			}
 		}
 	})
@@ -253,8 +261,7 @@ func TestConformanceTrafficAccounting(t *testing.T) {
 func TestConformanceCollectives(t *testing.T) {
 	// AllToAll and AllReduceSum over the interface, both transports.
 	eachTransport(t, 3, func(t *testing.T, w commWorld) {
-		RegisterAllToAllPayload[int64]()
-		results := make([][][]int64, 3)
+		results := make([][][]byte, 3)
 		sums := make([]float64, 3)
 		var wg sync.WaitGroup
 		for r := 0; r < 3; r++ {
@@ -262,9 +269,9 @@ func TestConformanceCollectives(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				c := w.comms[rank]
-				out := make([][]int64, 3)
+				out := make([][]byte, 3)
 				for to := range out {
-					out[to] = []int64{int64(rank*10 + to)}
+					out[to] = msg(rank*10 + to)
 				}
 				in, err := AllToAll(c, 30, out)
 				if err != nil {
@@ -283,8 +290,8 @@ func TestConformanceCollectives(t *testing.T) {
 		wg.Wait()
 		for rank, in := range results {
 			for src, got := range in {
-				if want := int64(src*10 + rank); len(got) != 1 || got[0] != want {
-					t.Errorf("rank %d from %d: %v, want [%d]", rank, src, got, want)
+				if want := src*10 + rank; val(got) != want {
+					t.Errorf("rank %d from %d: %d, want %d", rank, src, val(got), want)
 				}
 			}
 		}

@@ -4,16 +4,20 @@
 // point Send/Recv with tags and any-source receives, Barrier, AllToAll and
 // AllReduce collectives.
 //
-// Ranks are goroutines within one process; message delivery is via mailbox
-// queues. The World records per-rank traffic (message and byte counts) so
-// the 1997 platform performance models can replay a run's real
+// A message is a tag and a byte body, like an MPI byte buffer: callers
+// encode their own typed payloads, and both transports move the same
+// bytes. Over TCP every message is one length-prefixed frame (frame.go);
+// in process the body slice itself is handed to the receiver. Either way
+// the World records per-rank traffic (message counts and exact body
+// bytes) so the 1997 platform performance models can replay a run's real
 // communication pattern in virtual time.
 package mpi
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -31,9 +35,8 @@ var ErrClosed = errors.New("mpi: communicator closed")
 // transports satisfy it — *Comm (goroutine ranks in one process) and
 // *TCPComm (one rank per OS process, full TCP mesh) — and the distributed
 // engines are written against it, so the same engine body runs in-process
-// or across machines. The collectives (AllToAll, AllReduceSum) are generic
-// free functions over the interface, since Go interfaces cannot carry
-// generic methods.
+// or across machines. The collectives (AllToAll, AllReduceSum) are free
+// functions over the interface.
 //
 // Semantics both transports must honor (pinned by the transport
 // conformance suite): per-(sender,tag) FIFO delivery, AnySource/AnyTag
@@ -45,12 +48,14 @@ type Communicator interface {
 	Rank() int
 	// Size returns the world size.
 	Size() int
-	// Send transmits payload to rank `to` with the given tag. Sends are
-	// buffered and do not block on the receiver.
-	Send(to, tag int, payload any) error
+	// Send transmits body to rank `to` with the given tag. Sends are
+	// buffered and do not block on the receiver. The body is handed over:
+	// the sender must not modify it afterwards. Bodies above MaxFrame are
+	// refused.
+	Send(to, tag int, body []byte) error
 	// Recv blocks until a message matching (from, tag) arrives; ok is
 	// false only if the communicator closed or failed while waiting.
-	Recv(from, tag int) (payload any, source int, ok bool)
+	Recv(from, tag int) (body []byte, source int, ok bool)
 	// Barrier blocks until every rank has entered it.
 	Barrier() error
 	// Err reports why the communicator stopped: nil while healthy,
@@ -62,16 +67,9 @@ type Communicator interface {
 	TrafficStats() Traffic
 }
 
-// Sized lets a payload report its approximate wire size for the traffic
-// statistics; payloads that do not implement it count as 64 bytes.
-type Sized interface {
-	ByteSize() int
-}
-
 type envelope struct {
 	from, tag int
-	payload   any
-	bytes     int
+	body      []byte
 }
 
 // mailbox is one rank's incoming queue with tag/source matching.
@@ -163,11 +161,6 @@ type World struct {
 	size      int
 	mailboxes []*mailbox
 
-	barrierMu   sync.Mutex
-	barrierCond *sync.Cond
-	barrierCnt  int
-	barrierGen  int
-
 	statsMu      sync.Mutex
 	messages     int64
 	bytes        int64
@@ -187,7 +180,6 @@ func NewWorld(size int) (*World, error) {
 	for i := range w.mailboxes {
 		w.mailboxes[i] = newMailbox()
 	}
-	w.barrierCond = sync.NewCond(&w.barrierMu)
 	w.perPair = make([][]int64, size)
 	w.perPairBytes = make([][]int64, size)
 	for i := range w.perPair {
@@ -231,13 +223,6 @@ func (w *World) Close() {
 	}
 }
 
-func payloadBytes(p any) int {
-	if s, ok := p.(Sized); ok {
-		return s.ByteSize()
-	}
-	return 64
-}
-
 // Comm is one rank's communicator.
 type Comm struct {
 	world *World
@@ -250,15 +235,15 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// Send delivers payload to rank `to` with the given tag. Sends never block
+// Send delivers body to rank `to` with the given tag. Sends never block
 // (buffered, like MPI_Isend with guaranteed buffering — the paper notes the
-// SP-2 enforces exactly this).
-func (c *Comm) Send(to, tag int, payload any) error {
-	if to < 0 || to >= c.world.size {
-		return fmt.Errorf("mpi: send to invalid rank %d", to)
+// SP-2 enforces exactly this). The receiver gets the same slice.
+func (c *Comm) Send(to, tag int, body []byte) error {
+	if err := checkSend(to, c.world.size, body); err != nil {
+		return err
 	}
-	b := payloadBytes(payload)
-	c.world.mailboxes[to].put(envelope{from: c.rank, tag: tag, payload: payload, bytes: b})
+	b := len(body)
+	c.world.mailboxes[to].put(envelope{from: c.rank, tag: tag, body: body})
 	c.world.statsMu.Lock()
 	c.world.messages++
 	c.world.bytes += int64(b)
@@ -284,37 +269,58 @@ func (c *Comm) Err() error {
 func (c *Comm) TrafficStats() Traffic { return c.world.TrafficStats() }
 
 // Recv blocks until a message matching (from, tag) arrives and returns its
-// payload and source. Use AnySource/AnyTag as wildcards. ok is false only
+// body and source. Use AnySource/AnyTag as wildcards. ok is false only
 // if the world was closed while waiting.
-func (c *Comm) Recv(from, tag int) (payload any, source int, ok bool) {
+func (c *Comm) Recv(from, tag int) (body []byte, source int, ok bool) {
 	e, ok := c.world.mailboxes[c.rank].get(from, tag)
 	if !ok {
 		return nil, 0, false
 	}
-	return e.payload, e.from, true
+	return e.body, e.from, true
 }
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() error {
-	w := c.world
-	w.barrierMu.Lock()
-	gen := w.barrierGen
-	w.barrierCnt++
-	if w.barrierCnt == w.size {
-		w.barrierCnt = 0
-		w.barrierGen++
-		w.barrierMu.Unlock()
-		w.barrierCond.Broadcast()
-		return nil
+// checkSend validates a send identically on both transports.
+func checkSend(to, size int, body []byte) error {
+	if to < 0 || to >= size {
+		return fmt.Errorf("mpi: send to invalid rank %d", to)
 	}
-	for gen == w.barrierGen {
-		w.barrierCond.Wait()
+	if len(body) > MaxFrame {
+		return fmt.Errorf("mpi: %d-byte message exceeds the %d-byte frame cap", len(body), MaxFrame)
 	}
-	w.barrierMu.Unlock()
 	return nil
 }
 
-// AllToAll sends out[i] to rank i and returns in[i] = the slice received
+// Barrier blocks until every rank has entered it.
+func (c *Comm) Barrier() error { return barrier(c) }
+
+// barrier is both transports' Barrier: a linear gather of empty messages
+// to rank 0, then a broadcast (tag -2 is reserved). Being messages, it
+// fails like any Recv when the communicator closes.
+func barrier(c Communicator) error {
+	const barrierTag = -2
+	if c.Rank() == 0 {
+		for i := 1; i < c.Size(); i++ {
+			if _, _, ok := c.Recv(AnySource, barrierTag); !ok {
+				return closedErr(c, "Barrier")
+			}
+		}
+		for i := 1; i < c.Size(); i++ {
+			if err := c.Send(i, barrierTag, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := c.Send(0, barrierTag, nil); err != nil {
+		return err
+	}
+	if _, _, ok := c.Recv(0, barrierTag); !ok {
+		return closedErr(c, "Barrier")
+	}
+	return nil
+}
+
+// AllToAll sends out[i] to rank i and returns in[i] = the body received
 // from rank i (in[self] = out[self] without copying). This is the exchange
 // at the end of each photon batch (Figure 5.3).
 //
@@ -323,7 +329,7 @@ func (c *Comm) Barrier() error {
 // next-round message is already queued, each round still consumes exactly
 // one message per peer in order. An AnySource loop could swallow two rounds
 // of one peer and none of another.
-func AllToAll[T any](c Communicator, tag int, out [][]T) ([][]T, error) {
+func AllToAll(c Communicator, tag int, out [][]byte) ([][]byte, error) {
 	me := c.Rank()
 	if len(out) != c.Size() {
 		return nil, fmt.Errorf("mpi: AllToAll needs %d slices, got %d", c.Size(), len(out))
@@ -332,11 +338,11 @@ func AllToAll[T any](c Communicator, tag int, out [][]T) ([][]T, error) {
 		if to == me {
 			continue
 		}
-		if err := c.Send(to, tag, sizedSlice[T]{Data: out[to]}); err != nil {
+		if err := c.Send(to, tag, out[to]); err != nil {
 			return nil, err
 		}
 	}
-	in := make([][]T, c.Size())
+	in := make([][]byte, c.Size())
 	in[me] = out[me]
 	for src := 0; src < c.Size(); src++ {
 		if src == me {
@@ -346,7 +352,7 @@ func AllToAll[T any](c Communicator, tag int, out [][]T) ([][]T, error) {
 		if !ok {
 			return nil, closedErr(c, "AllToAll")
 		}
-		in[src] = p.(sizedSlice[T]).Data
+		in[src] = p
 	}
 	return in, nil
 }
@@ -360,40 +366,9 @@ func closedErr(c Communicator, during string) error {
 	return fmt.Errorf("mpi: world closed during %s", during)
 }
 
-// RegisterAllToAllPayload registers the gob wire type AllToAll uses for
-// element type T. Every concrete T exchanged through AllToAll over a
-// TCPComm must be registered once, by both sides, before the mesh runs.
-func RegisterAllToAllPayload[T any]() {
-	gob.Register(sizedSlice[T]{})
-}
-
-// sizedSlice lets AllToAll report realistic byte counts for traffic stats.
-// The element slice is exported so the wrapper survives gob transport.
-type sizedSlice[T any] struct{ Data []T }
-
-// ByteSize estimates the wire size of the slice payload.
-func (s sizedSlice[T]) ByteSize() int {
-	var t T
-	return len(s.Data)*approxSize(t) + 16
-}
-
-func approxSize(v any) int {
-	switch v.(type) {
-	case int8, uint8, bool:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32, float32:
-		return 4
-	case int64, uint64, float64, int, uint:
-		return 8
-	default:
-		return 48 // struct payloads (e.g. photon tallies)
-	}
-}
-
 // AllReduceSum sums one float64 across all ranks and returns the total to
-// every rank (gather to rank 0, then broadcast).
+// every rank (gather to rank 0, then broadcast). Each message is the
+// value's 8 little-endian IEEE-754 bytes.
 func AllReduceSum(c Communicator, tag int, v float64) (float64, error) {
 	if c.Rank() == 0 {
 		sum := v
@@ -402,23 +377,34 @@ func AllReduceSum(c Communicator, tag int, v float64) (float64, error) {
 			if !ok {
 				return 0, closedErr(c, "AllReduce")
 			}
-			sum += p.(float64)
+			x, err := float64Body(p)
+			if err != nil {
+				return 0, err
+			}
+			sum += x
 		}
 		for i := 1; i < c.Size(); i++ {
-			if err := c.Send(i, tag+1, sum); err != nil {
+			if err := c.Send(i, tag+1, binary.LittleEndian.AppendUint64(nil, math.Float64bits(sum))); err != nil {
 				return 0, err
 			}
 		}
 		return sum, nil
 	}
-	if err := c.Send(0, tag, v); err != nil {
+	if err := c.Send(0, tag, binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))); err != nil {
 		return 0, err
 	}
 	p, _, ok := c.Recv(0, tag+1)
 	if !ok {
 		return 0, closedErr(c, "AllReduce")
 	}
-	return p.(float64), nil
+	return float64Body(p)
+}
+
+func float64Body(b []byte) (float64, error) {
+	if len(b) != 8 {
+		return 0, fmt.Errorf("mpi: AllReduce body is %d bytes, want 8", len(b))
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
 // Run spawns fn on every rank of a fresh world and waits for completion,

@@ -25,17 +25,17 @@ func TestNewWorldValidation(t *testing.T) {
 func TestPingPong(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 7, "ping")
+			c.Send(1, 7, []byte("ping"))
 			p, src, ok := c.Recv(1, 8)
-			if !ok || src != 1 || p.(string) != "pong" {
+			if !ok || src != 1 || string(p) != "pong" {
 				t.Errorf("rank 0 got %v from %d", p, src)
 			}
 		} else {
 			p, src, ok := c.Recv(0, 7)
-			if !ok || src != 0 || p.(string) != "ping" {
+			if !ok || src != 0 || string(p) != "ping" {
 				t.Errorf("rank 1 got %v from %d", p, src)
 			}
-			c.Send(0, 8, "pong")
+			c.Send(0, 8, []byte("pong"))
 		}
 		return nil
 	})
@@ -48,15 +48,15 @@ func TestTagMatching(t *testing.T) {
 	// A receive for tag B must not consume a pending tag-A message.
 	_, err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 1, "first")
-			c.Send(1, 2, "second")
+			c.Send(1, 1, []byte("first"))
+			c.Send(1, 2, []byte("second"))
 		} else {
 			p, _, _ := c.Recv(0, 2)
-			if p.(string) != "second" {
+			if string(p) != "second" {
 				t.Errorf("tag 2 recv got %v", p)
 			}
 			p, _, _ = c.Recv(0, 1)
-			if p.(string) != "first" {
+			if string(p) != "first" {
 				t.Errorf("tag 1 recv got %v", p)
 			}
 		}
@@ -84,7 +84,7 @@ func TestAnySourceReceivesAll(t *testing.T) {
 				t.Errorf("saw %d distinct sources, want %d", len(seen), n-1)
 			}
 		} else {
-			c.Send(0, 5, c.Rank())
+			c.Send(0, 5, msg(c.Rank()))
 		}
 		return nil
 	})
@@ -99,12 +99,12 @@ func TestFIFOPerPair(t *testing.T) {
 		const k = 1000
 		if c.Rank() == 0 {
 			for i := 0; i < k; i++ {
-				c.Send(1, 0, i)
+				c.Send(1, 0, msg(i))
 			}
 		} else {
 			for i := 0; i < k; i++ {
 				p, _, _ := c.Recv(0, 0)
-				if p.(int) != i {
+				if val(p) != i {
 					t.Errorf("out of order: got %v want %d", p, i)
 					return nil
 				}
@@ -162,9 +162,9 @@ func TestBarrierReusable(t *testing.T) {
 func TestAllToAll(t *testing.T) {
 	const n = 5
 	_, err := Run(n, func(c *Comm) error {
-		out := make([][]int, n)
+		out := make([][]byte, n)
 		for to := 0; to < n; to++ {
-			out[to] = []int{c.Rank()*100 + to}
+			out[to] = msg(c.Rank()*100 + to)
 		}
 		in, err := AllToAll(c, 3, out)
 		if err != nil {
@@ -172,8 +172,8 @@ func TestAllToAll(t *testing.T) {
 		}
 		for from := 0; from < n; from++ {
 			want := from*100 + c.Rank()
-			if len(in[from]) != 1 || in[from][0] != want {
-				t.Errorf("rank %d: in[%d] = %v, want [%d]", c.Rank(), from, in[from], want)
+			if val(in[from]) != want {
+				t.Errorf("rank %d: in[%d] = %d, want %d", c.Rank(), from, val(in[from]), want)
 			}
 		}
 		return nil
@@ -185,7 +185,7 @@ func TestAllToAll(t *testing.T) {
 
 func TestAllToAllEmptySlices(t *testing.T) {
 	_, err := Run(3, func(c *Comm) error {
-		out := make([][]float64, 3)
+		out := make([][]byte, 3)
 		in, err := AllToAll(c, 1, out)
 		if err != nil {
 			return err
@@ -204,7 +204,7 @@ func TestAllToAllEmptySlices(t *testing.T) {
 
 func TestAllToAllWrongLength(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
-		_, err := AllToAll(c, 1, make([][]int, 5))
+		_, err := AllToAll(c, 1, make([][]byte, 5))
 		if err == nil {
 			t.Error("wrong-length AllToAll accepted")
 		}
@@ -236,7 +236,7 @@ func TestAllReduceSum(t *testing.T) {
 func TestTrafficStats(t *testing.T) {
 	w, err := Run(3, func(c *Comm) error {
 		if c.Rank() != 0 {
-			c.Send(0, 1, []int64{1, 2, 3})
+			c.Send(0, 1, make([]byte, 24))
 		} else {
 			for i := 0; i < 2; i++ {
 				c.Recv(AnySource, 1)
@@ -251,13 +251,13 @@ func TestTrafficStats(t *testing.T) {
 	if tr.Messages != 2 {
 		t.Errorf("messages = %d, want 2", tr.Messages)
 	}
-	if tr.Bytes <= 0 {
-		t.Errorf("bytes = %d", tr.Bytes)
+	if tr.Bytes != 48 {
+		t.Errorf("bytes = %d, want 48", tr.Bytes)
 	}
 	if tr.PerPair[1][0] != 1 || tr.PerPair[2][0] != 1 {
 		t.Errorf("per-pair = %v", tr.PerPair)
 	}
-	if tr.PerPairBytes[1][0] <= 0 || tr.PerPairBytes[2][0] <= 0 {
+	if tr.PerPairBytes[1][0] != 24 || tr.PerPairBytes[2][0] != 24 {
 		t.Errorf("per-pair bytes = %v", tr.PerPairBytes)
 	}
 }
@@ -269,8 +269,8 @@ func TestTrafficByRank(t *testing.T) {
 	w, err := Run(3, func(c *Comm) error {
 		// Rank 0 sends one message to each of ranks 1 and 2.
 		if c.Rank() == 0 {
-			c.Send(1, 7, []int64{1, 2})
-			c.Send(2, 7, []int64{1, 2, 3})
+			c.Send(1, 7, make([]byte, 16))
+			c.Send(2, 7, make([]byte, 24))
 			return nil
 		}
 		c.Recv(0, 7)
@@ -305,13 +305,6 @@ func sum(xs []int64) (s int64) {
 		s += x
 	}
 	return s
-}
-
-func TestSizedSliceBytes(t *testing.T) {
-	s := sizedSlice[float64]{Data: make([]float64, 10)}
-	if s.ByteSize() != 96 {
-		t.Fatalf("ByteSize = %d, want 96", s.ByteSize())
-	}
 }
 
 func TestCloseReleasesBlockedReceivers(t *testing.T) {
@@ -349,7 +342,7 @@ func TestConcurrentSendsNoLoss(t *testing.T) {
 			}
 		} else {
 			for i := 0; i < per; i++ {
-				c.Send(0, 0, i)
+				c.Send(0, 0, msg(i))
 			}
 		}
 		return nil

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -11,18 +10,17 @@ import (
 // TCPComm is a communicator whose ranks live in separate processes (or
 // separate machines), connected by a full TCP mesh — the transport a real
 // cluster deployment of the distributed engine swaps in for the in-process
-// channel world. Payloads are gob-encoded; the mailbox semantics (tags,
-// any-source receives, per-pair FIFO) match Comm's, pinned by the shared
-// transport conformance suite.
+// channel world. Each message is one frame (frame.go); the mailbox
+// semantics (tags, any-source receives, per-pair FIFO) match Comm's,
+// pinned by the shared transport conformance suite.
 //
 // Topology: rank i listens on addrs[i]; every rank dials every higher rank,
-// so each pair shares exactly one connection.
+// so each pair shares exactly one connection. A frame carries no source
+// rank: the connection it arrives on names the sender.
 type TCPComm struct {
 	rank, size int
-	conns      []net.Conn // conns[r] = connection to rank r (nil for self)
-	encs       []*gob.Encoder
-	decs       []*gob.Decoder
-	encMu      []sync.Mutex
+	conns      []net.Conn   // conns[r] = connection to rank r (nil for self)
+	sendMu     []sync.Mutex // sendMu[r] keeps frames to rank r whole
 	box        *mailbox
 
 	// statsMu guards the traffic ledger: this rank's outgoing row and
@@ -40,16 +38,6 @@ type TCPComm struct {
 	errMu    sync.Mutex
 	firstErr error
 }
-
-type tcpEnvelope struct {
-	From, Tag int
-	Payload   any
-}
-
-// RegisterTCPPayload registers a payload type for gob transport; call once
-// per concrete type sent through a TCPComm (slices of registered types
-// work automatically).
-func RegisterTCPPayload(v any) { gob.Register(v) }
 
 // DialTimeout bounds how long NewTCPComm keeps redialing a peer that is
 // not listening yet. Package-level so launchers with slow-starting worker
@@ -83,9 +71,7 @@ func NewTCPCommWithListener(rank int, addrs []string, ln net.Listener) (*TCPComm
 	c := &TCPComm{
 		rank: rank, size: size,
 		conns:     make([]net.Conn, size),
-		encs:      make([]*gob.Encoder, size),
-		decs:      make([]*gob.Decoder, size),
-		encMu:     make([]sync.Mutex, size),
+		sendMu:    make([]sync.Mutex, size),
 		box:       newMailbox(),
 		sentTo:    make([]int64, size),
 		sentBytes: make([]int64, size),
@@ -95,16 +81,10 @@ func NewTCPCommWithListener(rank int, addrs []string, ln net.Listener) (*TCPComm
 	defer ln.Close()
 
 	// Accept connections from all lower ranks; dial all higher ranks.
-	// Handshake: the dialer sends its rank first. The decoded rank is
-	// validated before use — only lower ranks dial us, each exactly once —
-	// so a garbage or duplicate handshake fails the mesh instead of
-	// panicking or silently replacing a live connection.
-	//
-	// One decoder (and one encoder) per connection, established at
-	// handshake time and reused for every envelope after it: gob decoders
-	// buffer their reader, so a throwaway handshake decoder could read
-	// ahead into the first envelope's bytes and a second decoder would
-	// then start mid-stream, corrupting the whole link.
+	// Handshake: the dialer sends one empty frame whose tag is its rank.
+	// The rank is validated before use — only lower ranks dial us, each
+	// exactly once — so a garbage or duplicate handshake fails the mesh
+	// instead of panicking or silently replacing a live connection.
 	var wg sync.WaitGroup
 	errCh := make(chan error, size)
 	wg.Add(1)
@@ -116,11 +96,10 @@ func NewTCPCommWithListener(rank int, addrs []string, ln net.Listener) (*TCPComm
 				errCh <- err
 				return
 			}
-			dec := gob.NewDecoder(conn)
-			var peer int
-			if err := dec.Decode(&peer); err != nil {
+			peer, _, err := ReadFrame(conn)
+			if err != nil {
 				conn.Close()
-				errCh <- fmt.Errorf("mpi: rank %d handshake decode: %w", rank, err)
+				errCh <- fmt.Errorf("mpi: rank %d handshake: %w", rank, err)
 				return
 			}
 			if peer < 0 || peer >= rank {
@@ -134,20 +113,17 @@ func NewTCPCommWithListener(rank int, addrs []string, ln net.Listener) (*TCPComm
 				return
 			}
 			c.conns[peer] = conn
-			c.decs[peer] = dec
 		}
 	}()
 	for peer := rank + 1; peer < size; peer++ {
-		conn, err := dialRetry(addrs[peer], DialTimeout)
+		conn, err := DialRetry(addrs[peer], DialTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: rank %d dial %d: %w", rank, peer, err)
 		}
-		enc := gob.NewEncoder(conn)
-		if err := enc.Encode(rank); err != nil {
+		if err := WriteFrame(conn, rank, nil); err != nil {
 			return nil, err
 		}
 		c.conns[peer] = conn
-		c.encs[peer] = enc
 	}
 	wg.Wait()
 	select {
@@ -156,42 +132,37 @@ func NewTCPCommWithListener(rank int, addrs []string, ln net.Listener) (*TCPComm
 	default:
 	}
 
-	// Reader goroutine per peer feeds the shared mailbox. A read failure
-	// records the first cause and closes the mailbox, releasing every
-	// blocked Recv; Err() then reports why.
+	// Reader goroutine per peer feeds the shared mailbox. A read failure —
+	// a dead peer, an over-cap length or a truncated frame — records the
+	// first cause and closes the mailbox, releasing every blocked Recv;
+	// Err() then reports why.
 	for peer, conn := range c.conns {
 		if conn == nil {
 			continue
 		}
-		if c.encs[peer] == nil {
-			c.encs[peer] = gob.NewEncoder(conn)
-		}
-		if c.decs[peer] == nil {
-			c.decs[peer] = gob.NewDecoder(conn)
-		}
-		go func(peer int, dec *gob.Decoder) {
+		go func() {
 			for {
-				var e tcpEnvelope
-				if err := dec.Decode(&e); err != nil {
+				tag, body, err := ReadFrame(conn)
+				if err != nil {
 					c.fail(fmt.Errorf("mpi: rank %d reading from rank %d: %w", c.rank, peer, err))
 					return
 				}
-				b := payloadBytes(e.Payload)
 				c.statsMu.Lock()
-				c.recvFrom[e.From]++
-				c.recvBytes[e.From] += int64(b)
+				c.recvFrom[peer]++
+				c.recvBytes[peer] += int64(len(body))
 				c.statsMu.Unlock()
-				c.box.put(envelope{from: e.From, tag: e.Tag, payload: e.Payload, bytes: b})
+				c.box.put(envelope{from: peer, tag: tag, body: body})
 			}
-		}(peer, c.decs[peer])
+		}()
 	}
 	return c, nil
 }
 
-// dialRetry dials addr with exponential backoff until it connects or the
+// DialRetry dials addr with exponential backoff until it connects or the
 // overall deadline expires — a peer that has not started listening yet
-// costs sleeps, not a burned retry budget.
-func dialRetry(addr string, deadline time.Duration) (net.Conn, error) {
+// costs sleeps, not a burned retry budget. The mesh dials its peers with
+// it, and coord workers their coordinator.
+func DialRetry(addr string, deadline time.Duration) (net.Conn, error) {
 	var lastErr error
 	backoff := time.Millisecond
 	const maxBackoff = 250 * time.Millisecond
@@ -237,26 +208,26 @@ func (c *TCPComm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *TCPComm) Size() int { return c.size }
 
-// Send transmits payload to rank `to` with the given tag.
-func (c *TCPComm) Send(to, tag int, payload any) error {
-	if to < 0 || to >= c.size {
-		return fmt.Errorf("mpi: send to invalid rank %d", to)
+// Send transmits body to rank `to` with the given tag; a self-send hands
+// the slice to this rank's own mailbox.
+func (c *TCPComm) Send(to, tag int, body []byte) error {
+	if err := checkSend(to, c.size, body); err != nil {
+		return err
 	}
-	b := payloadBytes(payload)
 	if to == c.rank {
-		c.box.put(envelope{from: c.rank, tag: tag, payload: payload, bytes: b})
-		c.countSend(to, b)
+		c.box.put(envelope{from: c.rank, tag: tag, body: body})
+		c.countSend(to, len(body))
 		return nil
 	}
-	c.encMu[to].Lock()
-	err := c.encs[to].Encode(tcpEnvelope{From: c.rank, Tag: tag, Payload: payload})
-	c.encMu[to].Unlock()
+	c.sendMu[to].Lock()
+	err := WriteFrame(c.conns[to], tag, body)
+	c.sendMu[to].Unlock()
 	if err != nil {
 		err = fmt.Errorf("mpi: rank %d send to rank %d: %w", c.rank, to, err)
 		c.fail(err)
 		return err
 	}
-	c.countSend(to, b)
+	c.countSend(to, len(body))
 	return nil
 }
 
@@ -270,46 +241,16 @@ func (c *TCPComm) countSend(to, bytes int) {
 }
 
 // Recv blocks until a message matching (from, tag) arrives.
-func (c *TCPComm) Recv(from, tag int) (payload any, source int, ok bool) {
+func (c *TCPComm) Recv(from, tag int) (body []byte, source int, ok bool) {
 	e, ok := c.box.get(from, tag)
 	if !ok {
 		return nil, 0, false
 	}
-	return e.payload, e.from, true
+	return e.body, e.from, true
 }
 
-// Barrier blocks until every rank reaches it (linear gather to rank 0 then
-// broadcast; tag -2 is reserved).
-func (c *TCPComm) Barrier() error {
-	const barrierTag = -2
-	if c.rank == 0 {
-		for i := 1; i < c.size; i++ {
-			if _, _, ok := c.Recv(AnySource, barrierTag); !ok {
-				return closedErr(c, "Barrier")
-			}
-		}
-		for i := 1; i < c.size; i++ {
-			if err := c.Send(i, barrierTag, true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.Send(0, barrierTag, true); err != nil {
-		return err
-	}
-	if _, _, ok := c.Recv(0, barrierTag); !ok {
-		return closedErr(c, "Barrier")
-	}
-	return nil
-}
-
-// Stats returns (messages, approx bytes) sent by this rank.
-func (c *TCPComm) Stats() (int64, int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.messages, c.bytes
-}
+// Barrier blocks until every rank reaches it.
+func (c *TCPComm) Barrier() error { return barrier(c) }
 
 // TrafficStats assembles this rank's observable traffic into the world
 // pair matrix: row rank holds its sends, column rank its receives (the
@@ -335,15 +276,6 @@ func (c *TCPComm) TrafficStats() Traffic {
 		ppb[from][c.rank] = c.recvBytes[from]
 	}
 	return Traffic{Messages: c.messages, Bytes: c.bytes, PerPair: pp, PerPairBytes: ppb}
-}
-
-// SentRow returns this rank's outgoing (messages, bytes) per destination —
-// the rank's row of the world pair matrix, which the multi-process driver
-// gathers to rank 0 to assemble full-run traffic.
-func (c *TCPComm) SentRow() (msgs, bytes []int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return append([]int64(nil), c.sentTo...), append([]int64(nil), c.sentBytes...)
 }
 
 // Close shuts the mesh down.

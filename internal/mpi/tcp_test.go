@@ -1,10 +1,11 @@
 package mpi
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -60,12 +61,12 @@ func TestTCPPingPong(t *testing.T) {
 	comms := tcpWorld(t, 2)
 	done := make(chan error, 2)
 	go func() {
-		if err := comms[0].Send(1, 7, "ping"); err != nil {
+		if err := comms[0].Send(1, 7, []byte("ping")); err != nil {
 			done <- err
 			return
 		}
 		p, src, ok := comms[0].Recv(1, 8)
-		if !ok || src != 1 || p.(string) != "pong" {
+		if !ok || src != 1 || string(p) != "pong" {
 			done <- fmt.Errorf("rank 0 got %v from %d", p, src)
 			return
 		}
@@ -73,35 +74,16 @@ func TestTCPPingPong(t *testing.T) {
 	}()
 	go func() {
 		p, _, ok := comms[1].Recv(0, 7)
-		if !ok || p.(string) != "ping" {
+		if !ok || string(p) != "ping" {
 			done <- fmt.Errorf("rank 1 got %v", p)
 			return
 		}
-		done <- comms[1].Send(0, 8, "pong")
+		done <- comms[1].Send(0, 8, []byte("pong"))
 	}()
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestTCPStructuredPayload(t *testing.T) {
-	type tally struct {
-		Patch int32
-		S, T  float64
-	}
-	RegisterTCPPayload([]tally{})
-	comms := tcpWorld(t, 2)
-	want := []tally{{Patch: 3, S: 0.25, T: 0.75}, {Patch: 9, S: 0.5, T: 0.5}}
-	go comms[0].Send(1, 1, want)
-	p, _, ok := comms[1].Recv(0, 1)
-	if !ok {
-		t.Fatal("recv failed")
-	}
-	got := p.([]tally)
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("got %+v", got)
 	}
 }
 
@@ -114,7 +96,7 @@ func TestTCPManyToOne(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := comms[rank].Send(0, 5, rank*1000+i); err != nil {
+				if err := comms[rank].Send(0, 5, msg(rank*1000+i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -127,7 +109,7 @@ func TestTCPManyToOne(t *testing.T) {
 		if !ok {
 			t.Fatal("recv failed")
 		}
-		if p.(int)/1000 != src {
+		if val(p)/1000 != src {
 			t.Fatalf("payload %v does not match source %d", p, src)
 		}
 		seen[src]++
@@ -145,12 +127,12 @@ func TestTCPFIFOPerPair(t *testing.T) {
 	const k = 500
 	go func() {
 		for i := 0; i < k; i++ {
-			comms[0].Send(1, 0, i)
+			comms[0].Send(1, 0, msg(i))
 		}
 	}()
 	for i := 0; i < k; i++ {
 		p, _, ok := comms[1].Recv(0, 0)
-		if !ok || p.(int) != i {
+		if !ok || val(p) != i {
 			t.Fatalf("out of order at %d: %v", i, p)
 		}
 	}
@@ -193,22 +175,21 @@ func TestTCPBarrier(t *testing.T) {
 
 func TestTCPSelfSend(t *testing.T) {
 	comms := tcpWorld(t, 2)
-	if err := comms[0].Send(0, 9, "loop"); err != nil {
+	if err := comms[0].Send(0, 9, []byte("loop")); err != nil {
 		t.Fatal(err)
 	}
 	p, src, ok := comms[0].Recv(0, 9)
-	if !ok || src != 0 || p.(string) != "loop" {
+	if !ok || src != 0 || string(p) != "loop" {
 		t.Fatalf("self-send got %v from %d", p, src)
 	}
 }
 
 func TestTCPStats(t *testing.T) {
 	comms := tcpWorld(t, 2)
-	comms[0].Send(1, 1, "x")
+	comms[0].Send(1, 1, []byte("xyz"))
 	comms[1].Recv(0, 1)
-	msgs, bytes := comms[0].Stats()
-	if msgs != 1 || bytes <= 0 {
-		t.Fatalf("stats = %d msgs, %d bytes", msgs, bytes)
+	if tr := comms[0].TrafficStats(); tr.Messages != 1 || tr.Bytes != 3 {
+		t.Fatalf("stats = %d msgs, %d bytes, want 1 and 3", tr.Messages, tr.Bytes)
 	}
 }
 
@@ -221,7 +202,7 @@ func TestDialRetryLateListener(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			return // port raced away; dialRetry will time out and fail the test
+			return // port raced away; DialRetry will time out and fail the test
 		}
 		conn, err := ln.Accept()
 		if err == nil {
@@ -230,9 +211,9 @@ func TestDialRetryLateListener(t *testing.T) {
 		ln.Close()
 	}()
 	start := time.Now()
-	conn, err := dialRetry(addr, 5*time.Second)
+	conn, err := DialRetry(addr, 5*time.Second)
 	if err != nil {
-		t.Fatalf("dialRetry: %v", err)
+		t.Fatalf("DialRetry: %v", err)
 	}
 	conn.Close()
 	if waited := time.Since(start); waited < 250*time.Millisecond {
@@ -243,11 +224,11 @@ func TestDialRetryLateListener(t *testing.T) {
 func TestDialRetryDeadline(t *testing.T) {
 	addr := freeAddrs(t, 1)[0] // nothing ever listens here
 	start := time.Now()
-	if _, err := dialRetry(addr, 200*time.Millisecond); err == nil {
-		t.Fatal("dialRetry succeeded with no listener")
+	if _, err := DialRetry(addr, 200*time.Millisecond); err == nil {
+		t.Fatal("DialRetry succeeded with no listener")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("dialRetry overshot its deadline: %v", elapsed)
+		t.Fatalf("DialRetry overshot its deadline: %v", elapsed)
 	}
 }
 
@@ -269,12 +250,12 @@ func meshAccept(t *testing.T, rank int, addrs []string) chan error {
 func TestTCPHandshakeRejectsOutOfRangeRank(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	errCh := meshAccept(t, 1, addrs) // rank 1 accepts exactly one dialer: rank 0
-	conn, err := dialRetry(addrs[1], 5*time.Second)
+	conn, err := DialRetry(addrs[1], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(7); err != nil { // garbage rank
+	if err := WriteFrame(conn, 7, nil); err != nil { // garbage rank
 		t.Fatal(err)
 	}
 	if err := <-errCh; err == nil {
@@ -288,12 +269,12 @@ func TestTCPHandshakeRejectsDuplicateRank(t *testing.T) {
 	addrs := freeAddrs(t, 3)
 	errCh := meshAccept(t, 2, addrs) // rank 2 accepts ranks 0 and 1
 	for i := 0; i < 2; i++ {
-		conn, err := dialRetry(addrs[2], 5*time.Second)
+		conn, err := DialRetry(addrs[2], 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := gob.NewEncoder(conn).Encode(0); err != nil { // rank 0, twice
+		if err := WriteFrame(conn, 0, nil); err != nil { // rank 0, twice
 			t.Fatal(err)
 		}
 	}
@@ -301,6 +282,67 @@ func TestTCPHandshakeRejectsDuplicateRank(t *testing.T) {
 		t.Fatal("duplicate handshake rank accepted")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestTCPHostileFrames pins the frame reader's defenses: after a valid
+// handshake on a raw connection, a length prefix above the cap and a
+// body cut short each fail the link — Err() names it — without a panic
+// and without allocating what the header claims.
+func TestTCPHostileFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		length uint32
+		body   int
+		want   string
+	}{
+		{"over-cap length", MaxFrame + 1, 0, "exceeds"},
+		{"truncated body", MaxFrame, 10, "unexpected EOF"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := freeAddrs(t, 2)
+			meshCh := make(chan *TCPComm, 1)
+			go func() {
+				c, err := NewTCPComm(1, addrs)
+				if err != nil {
+					t.Error(err)
+				}
+				meshCh <- c
+			}()
+			conn, err := DialRetry(addrs[1], 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := WriteFrame(conn, 0, nil); err != nil { // handshake as rank 0
+				t.Fatal(err)
+			}
+			c := <-meshCh
+			if c == nil {
+				t.Fatal("mesh did not form")
+			}
+			defer c.Close()
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			hdr := binary.LittleEndian.AppendUint32(nil, tc.length)
+			hdr = binary.LittleEndian.AppendUint32(hdr, 5)
+			if _, err := conn.Write(append(hdr, make([]byte, tc.body)...)); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			if _, _, ok := c.Recv(0, AnyTag); ok {
+				t.Fatal("hostile frame delivered a message")
+			}
+			runtime.ReadMemStats(&after)
+			err = c.Err()
+			if err == nil || !strings.Contains(err.Error(), "reading from rank 0") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Err() = %v, want the rank-0 link named and %q", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				t.Fatalf("reader allocated %d bytes for a %d-byte frame", grew, len(hdr)+tc.body)
+			}
+		})
 	}
 }
 
@@ -356,7 +398,7 @@ func TestTCPInvalidRank(t *testing.T) {
 		t.Fatal("invalid rank accepted")
 	}
 	comms := tcpWorld(t, 2)
-	if err := comms[0].Send(7, 0, "x"); err == nil {
+	if err := comms[0].Send(7, 0, []byte("x")); err == nil {
 		t.Fatal("send to invalid rank accepted")
 	}
 }

@@ -6,7 +6,7 @@ package photon
 // in-process distributed engine, at any rank count, and a
 // killed-and-replaced worker must not change the
 // answer. These tests exec the actual binaries, so they pin the whole
-// stack: join handshake, mesh build, gob wire format, checkpoint gather,
+// stack: join handshake, mesh build, wire format, checkpoint gather,
 // and resume.
 
 import (
