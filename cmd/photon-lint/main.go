@@ -1,4 +1,4 @@
-// photon-lint is the project's vet tool: four analyzers that enforce the
+// photon-lint is the project's vet tool: three analyzers that enforce the
 // determinism contracts statically (see internal/analysis).
 //
 // Run it through the vet driver:

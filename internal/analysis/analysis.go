@@ -1,7 +1,7 @@
 // Package analysis is photon-lint's analyzer suite: static checks that
 // enforce the determinism contracts the conformance matrices pin at
 // runtime (bit-identical forests across engines, zero-alloc disabled
-// observability, lock-guarded forest mutation).
+// observability).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic — but is built on the standard library only
@@ -16,10 +16,6 @@
 //	//photon:deterministic   file-level: the file is part of the
 //	                         bit-identity contract; nondeterm and
 //	                         floatreduce police it.
-//	//photon:requires-lock   on a function/method declaration: callers must
-//	                         hold the section lock; the locked analyzer
-//	                         checks call sites, with facts flowing across
-//	                         package boundaries through vetx files.
 //	//photon:orderinvariant  line-level suppression (same line or the line
 //	                         above): the flagged construct has been reviewed
 //	                         and its result is independent of iteration or
@@ -38,9 +34,7 @@ import (
 // remark may follow after a space).
 const (
 	DirDeterministic  = "photon:deterministic"
-	DirRequiresLock   = "photon:requires-lock"
 	DirOrderInvariant = "photon:orderinvariant"
-	DirLockHeld       = "photon:lockheld"
 )
 
 // A Diagnostic is one finding at one position.
@@ -65,11 +59,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// RequiresLock holds the symbol keys (see FuncKey) of every function
-	// annotated //photon:requires-lock — both those declared in this
-	// package and those imported as facts from dependency vetx files.
-	RequiresLock map[string]bool
-
 	// Report receives each finding. The driver routes it to stderr (vet
 	// mode) or to the expectation matcher (analysistest mode).
 	Report func(Diagnostic)
@@ -82,7 +71,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Nondeterm, FloatReduce, ObsGate, Locked}
+	return []*Analyzer{Nondeterm, FloatReduce, ObsGate}
 }
 
 // commentIsDirective reports whether c is exactly `//<name>` optionally
@@ -107,26 +96,13 @@ func fileHasDirective(f *ast.File, name string) bool {
 	return false
 }
 
-// funcHasDirective reports whether fd's doc comment carries the directive.
-func funcHasDirective(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if commentIsDirective(c, name) {
-			return true
-		}
-	}
-	return false
-}
-
-// suppressedBy reports whether a comment carrying the directive sits on
-// n's line or the line immediately above it in f.
-func suppressedBy(fset *token.FileSet, f *ast.File, n ast.Node, dir string) bool {
+// suppressed reports whether a //photon:orderinvariant comment sits on n's
+// line or the line immediately above it in f.
+func suppressed(fset *token.FileSet, f *ast.File, n ast.Node) bool {
 	line := fset.Position(n.Pos()).Line
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !commentIsDirective(c, dir) {
+			if !commentIsDirective(c, DirOrderInvariant) {
 				continue
 			}
 			cl := fset.Position(c.Pos()).Line
@@ -136,12 +112,6 @@ func suppressedBy(fset *token.FileSet, f *ast.File, n ast.Node, dir string) bool
 		}
 	}
 	return false
-}
-
-// suppressed reports whether a //photon:orderinvariant comment sits on n's
-// line or the line immediately above it in f.
-func suppressed(fset *token.FileSet, f *ast.File, n ast.Node) bool {
-	return suppressedBy(fset, f, n, DirOrderInvariant)
 }
 
 // isTestFile reports whether the file's basename ends in _test.go. Tests
@@ -199,72 +169,6 @@ func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string, names ...st
 	return false
 }
 
-// FuncKey canonicalizes a function or method to the symbol key used for
-// cross-package //photon:requires-lock facts:
-// "path/to/pkg.Recv.Name" for methods (pointer stars stripped) or
-// "path/to/pkg.Name" for functions.
-func FuncKey(f *types.Func) string {
-	if f.Pkg() == nil {
-		return f.Name()
-	}
-	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		for {
-			p, ok := t.(*types.Pointer)
-			if !ok {
-				break
-			}
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			return f.Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
-		}
-	}
-	return f.Pkg().Path() + "." + f.Name()
-}
-
-// declKey canonicalizes a FuncDecl in package pkg to the same symbol key
-// FuncKey produces for its *types.Func.
-func declKey(pkg *types.Package, fd *ast.FuncDecl) string {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		t := fd.Recv.List[0].Type
-		for {
-			star, ok := t.(*ast.StarExpr)
-			if !ok {
-				break
-			}
-			t = star.X
-		}
-		// Strip type parameter brackets (Recv[T]) down to the type name.
-		if ix, ok := t.(*ast.IndexExpr); ok {
-			t = ix.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			return pkg.Path() + "." + id.Name + "." + fd.Name.Name
-		}
-	}
-	return pkg.Path() + "." + fd.Name.Name
-}
-
-// ScanRequiresLock collects the symbol keys of all functions in files
-// annotated //photon:requires-lock. This is the local half of the facts the
-// locked analyzer consumes; the driver unions it with imported vetx facts.
-func ScanRequiresLock(pkg *types.Package, files []*ast.File) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if funcHasDirective(fd, DirRequiresLock) {
-				out[declKey(pkg, fd)] = true
-			}
-		}
-	}
-	return out
-}
-
 // enclosingFuncBody returns the body of the innermost function declaration
 // or literal in stack (nil if n is not inside a function).
 func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
@@ -274,17 +178,6 @@ func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
 			return fn.Body
 		case *ast.FuncDecl:
 			return fn.Body
-		}
-	}
-	return nil
-}
-
-// enclosingFuncDecl returns the FuncDecl in stack, if any — the top-level
-// declaration whose (possibly nested) body contains the node.
-func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
 		}
 	}
 	return nil

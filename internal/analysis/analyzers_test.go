@@ -18,7 +18,3 @@ func TestFloatReduce(t *testing.T) {
 func TestObsGate(t *testing.T) {
 	analysistest.Run(t, analysis.ObsGate, "obsgate")
 }
-
-func TestLocked(t *testing.T) {
-	analysistest.Run(t, analysis.Locked, "locked", "lockedhelpers", "lockedimport")
-}

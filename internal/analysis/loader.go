@@ -19,16 +19,14 @@ import (
 	"strings"
 )
 
-// A LoadedPackage is one type-checked package with its syntax, type
-// information, and the //photon:requires-lock facts visible at its
-// boundary (its own plus its transitive dependencies').
+// A LoadedPackage is one type-checked package with its syntax and type
+// information.
 type LoadedPackage struct {
-	Path         string
-	Fset         *token.FileSet
-	Files        []*ast.File
-	Pkg          *types.Package
-	Info         *types.Info
-	RequiresLock map[string]bool
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // A Loader resolves and type-checks packages by import path from three
@@ -86,7 +84,7 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stdlib %q: %v", path, err)
 		}
-		lp := &LoadedPackage{Path: path, Fset: l.Fset, Pkg: pkg, RequiresLock: map[string]bool{}}
+		lp := &LoadedPackage{Path: path, Fset: l.Fset, Pkg: pkg}
 		l.pkgs[path] = lp
 		return lp, nil
 	}
@@ -117,7 +115,6 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 		files = append(files, f)
 	}
 
-	facts := map[string]bool{}
 	imp := importerFunc(func(importPath string) (*types.Package, error) {
 		if importPath == "unsafe" {
 			return types.Unsafe, nil
@@ -125,9 +122,6 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 		dep, err := l.Load(importPath)
 		if err != nil {
 			return nil, err
-		}
-		for k := range dep.RequiresLock {
-			facts[k] = true
 		}
 		return dep.Pkg, nil
 	})
@@ -144,17 +138,7 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typechecking %s: %v", path, err)
 	}
-	for k := range ScanRequiresLock(pkg, files) {
-		facts[k] = true
-	}
-	lp := &LoadedPackage{
-		Path:         path,
-		Fset:         l.Fset,
-		Files:        files,
-		Pkg:          pkg,
-		Info:         info,
-		RequiresLock: facts,
-	}
+	lp := &LoadedPackage{Path: path, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}
 	l.pkgs[path] = lp
 	return lp, nil
 }
@@ -164,13 +148,12 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 func Analyze(a *Analyzer, lp *LoadedPackage) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{
-		Analyzer:     a,
-		Fset:         lp.Fset,
-		Files:        lp.Files,
-		Pkg:          lp.Pkg,
-		Info:         lp.Info,
-		RequiresLock: lp.RequiresLock,
-		Report:       func(d Diagnostic) { diags = append(diags, d) },
+		Analyzer: a,
+		Fset:     lp.Fset,
+		Files:    lp.Files,
+		Pkg:      lp.Pkg,
+		Info:     lp.Info,
+		Report:   func(d Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, err

@@ -10,7 +10,7 @@ import (
 // TestLintCleanOnRepo is the acceptance pin for the whole suite: build
 // photon-lint and run it as a vettool over every package in the module,
 // requiring zero diagnostics. Any future change that reintroduces an
-// ungated clock, an unlocked forest mutation, or order-leaking map
+// ungated clock, a goroutine-order float reduction, or order-leaking map
 // iteration in a deterministic package fails this test the same way it
 // fails CI.
 func TestLintCleanOnRepo(t *testing.T) {

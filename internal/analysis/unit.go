@@ -11,16 +11,17 @@ package analysis
 //     so cmd/go can decide which to forward.
 //  3. For every package in the build graph (dependencies included, with
 //     VetxOnly=true), `photon-lint <unit>.cfg` — a JSON file describing
-//     one compilation unit: its sources, the export data of its
-//     dependencies (PackageFile), and the vetx fact files those
-//     dependencies produced (PackageVetx).
+//     one compilation unit: its sources and the export data of its
+//     dependencies (PackageFile).
 //
-// The tool type-checks the unit with the compiler's export data (the same
-// importer.ForCompiler(…, lookup) mechanism x/tools' unitchecker uses),
-// scans it for //photon:requires-lock declarations, writes the union of
-// local and imported facts to VetxOutput, and — unless VetxOnly — runs the
-// analyzer suite and prints diagnostics to stderr, exiting 2 when any are
-// found (vet's convention for "findings, not tool failure").
+// No analyzer exports facts, so the vetx file the tool writes to
+// VetxOutput is always empty; cmd/go still expects one per unit. A
+// VetxOnly dependency unit stops there, unparsed. Any other unit is
+// type-checked with the compiler's export data (the same
+// importer.ForCompiler(…, lookup) mechanism x/tools' unitchecker uses) and
+// run through the analyzer suite, with diagnostics printed to stderr and
+// exit code 2 when any are found (vet's convention for "findings, not tool
+// failure").
 
 import (
 	"crypto/sha256"
@@ -59,13 +60,6 @@ type unitConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// vetxFacts is photon-lint's fact file: the //photon:requires-lock symbol
-// keys visible at this package's boundary (its own plus, transitively, its
-// dependencies').
-type vetxFacts struct {
-	RequiresLock []string `json:"requires_lock,omitempty"`
-}
-
 // Main is the photon-lint entry point. Invoked by cmd/go it speaks the
 // unitchecker protocol; invoked by a human with package patterns it
 // re-execs itself through `go vet -vettool`.
@@ -85,7 +79,7 @@ func Main() {
 		}
 	}
 
-	// Analyzer-selection flags (-nondeterm, -locked=true, …): run only
+	// Analyzer-selection flags (-nondeterm, -obsgate=true, …): run only
 	// the named subset when any is enabled.
 	var cfgFile string
 	var patterns []string
@@ -207,12 +201,15 @@ func runUnit(cfgFile string, analyzers []*Analyzer) int {
 		return 1
 	}
 
-	// Facts must be written even for units we don't analyze: cmd/go runs
-	// the tool over every dependency and expects a vetx for each.
-	facts := importedFacts(cfg)
-
-	if cfg.ImportPath == "unsafe" || len(cfg.GoFiles) == 0 {
-		return writeFactsAndExit(cfg, facts, nil, 0)
+	// cmd/go expects a vetx file from every unit, dependencies included.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			fmt.Fprintf(os.Stderr, "photon-lint: writing vetx: %v\n", err)
+			return 1
+		}
+	}
+	if cfg.VetxOnly || cfg.ImportPath == "unsafe" || len(cfg.GoFiles) == 0 {
+		return 0
 	}
 
 	fset := token.NewFileSet()
@@ -221,7 +218,7 @@ func runUnit(cfgFile string, analyzers []*Analyzer) int {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			if cfg.SucceedOnTypecheckFailure {
-				return writeFactsAndExit(cfg, facts, nil, 0)
+				return 0
 			}
 			fmt.Fprintf(os.Stderr, "photon-lint: %v\n", err)
 			return 1
@@ -232,44 +229,35 @@ func runUnit(cfgFile string, analyzers []*Analyzer) int {
 	pkg, info, err := typecheckUnit(fset, files, cfg)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return writeFactsAndExit(cfg, facts, nil, 0)
+			return 0
 		}
 		fmt.Fprintf(os.Stderr, "photon-lint: typechecking %s: %v\n", cfg.ImportPath, err)
 		return 1
 	}
 
-	for k := range ScanRequiresLock(pkg, files) {
-		facts[k] = true
-	}
-
 	var diags []Diagnostic
-	if !cfg.VetxOnly {
+	for _, a := range analyzers {
 		pass := &Pass{
-			Fset:         fset,
-			Files:        files,
-			Pkg:          pkg,
-			Info:         info,
-			RequiresLock: facts,
+			Analyzer: a,
+			Fset:     fset,
+			Files:    files,
+			Pkg:      pkg,
+			Info:     info,
+			Report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
-		for _, a := range analyzers {
-			p := *pass
-			p.Analyzer = a
-			p.Report = func(d Diagnostic) { diags = append(diags, d) }
-			if err := a.Run(&p); err != nil {
-				fmt.Fprintf(os.Stderr, "photon-lint: %s: %v\n", a.Name, err)
-				return 1
-			}
+		if err := a.Run(pass); err != nil {
+			fmt.Fprintf(os.Stderr, "photon-lint: %s: %v\n", a.Name, err)
+			return 1
 		}
 	}
-	code := 0
-	if len(diags) > 0 {
-		sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-		}
-		code = 2 // vet convention: findings, not tool failure
+	if len(diags) == 0 {
+		return 0
 	}
-	return writeFactsAndExit(cfg, facts, nil, code)
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
+	}
+	return 2 // vet convention: findings, not tool failure
 }
 
 // typecheckUnit type-checks the unit's files against its dependencies'
@@ -321,45 +309,4 @@ func goarch() string {
 		return v
 	}
 	return runtime.GOARCH
-}
-
-// importedFacts unions the vetx facts of every dependency.
-func importedFacts(cfg unitConfig) map[string]bool {
-	out := map[string]bool{}
-	for _, path := range cfg.PackageVetx {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue // a dependency with no facts is fine
-		}
-		var v vetxFacts
-		if err := json.Unmarshal(data, &v); err != nil {
-			continue
-		}
-		for _, k := range v.RequiresLock {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// writeFactsAndExit persists the unit's fact file (always — cmd/go caches
-// it and feeds it to dependents) and returns code.
-func writeFactsAndExit(cfg unitConfig, facts map[string]bool, _ error, code int) int {
-	if cfg.VetxOutput == "" {
-		return code
-	}
-	v := vetxFacts{}
-	for k := range facts {
-		v.RequiresLock = append(v.RequiresLock, k)
-	}
-	sort.Strings(v.RequiresLock)
-	data, err := json.Marshal(v)
-	if err == nil {
-		err = os.WriteFile(cfg.VetxOutput, data, 0o666)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "photon-lint: writing facts: %v\n", err)
-		return 1
-	}
-	return code
 }

@@ -117,6 +117,12 @@ func Load(r io.Reader) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Save writes nothing after the forest, so a loaded file may not
+	// either. DecodeForest's bufio.NewReader(br) is br itself, so br holds
+	// exactly the bytes after the forest.
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("answer: data after the forest")
+	}
 	return &Solution{SceneName: string(name), EmittedPhotons: emitted, Forest: forest}, nil
 }
 

@@ -2,7 +2,10 @@ package answer
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -58,12 +61,57 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// hostileHeader is a 70-byte answer file whose forest header claims 2³¹
+// unsectioned trees and carries none.
+func hostileHeader() []byte {
+	b := []byte("PANS")
+	b = binary.LittleEndian.AppendUint32(b, uint32(len("quickstart")))
+	b = append(b, "quickstart"...)
+	b = binary.LittleEndian.AppendUint64(b, 1000) // emitted photons
+	b = append(b, "PBF2"...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(3)) // SplitSigma
+	for _, v := range []uint64{32, 24, 1, 1 << 31} {             // MinCount, MaxDepth, cells, trees
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not an answer file")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+
+	// A header's tree count is a claim, not an allocation size.
+	hostile := hostileHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile header accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("loader allocated %d bytes for a %d-byte file", grew, len(hostile))
+	}
+
+	_, sol := solve(t, 500)
+	var buf bytes.Buffer
+	if err := sol.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(append(bytes.Clone(buf.Bytes()), 0))); err == nil {
+		t.Fatal("trailing byte after the forest accepted")
+	}
+	// Every encoder writes patches × cells² trees.
+	b := buf.Bytes()
+	cellsAt := bytes.Index(b, []byte("PBF2")) + 4 + 3*8
+	nTrees := binary.LittleEndian.Uint64(b[cellsAt+8:])
+	binary.LittleEndian.PutUint64(b[cellsAt:], nTrees) // cells² > nTrees
+	if _, err := Load(bytes.NewReader(b)); err == nil {
+		t.Fatalf("%d trees accepted for %d×%d cells", nTrees, nTrees, nTrees)
 	}
 }
 

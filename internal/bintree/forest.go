@@ -91,15 +91,6 @@ func (f *Forest) Add(i int, p Point, w RGB) bool {
 	return f.trees[f.UnitOf(i, p)].Add(p, w)
 }
 
-// AddToUnit tallies a photon directly into tree unit (as returned by
-// UnitOf); callers that already routed the point — the shared engine's
-// locked merge path — avoid recomputing the section.
-//
-//photon:requires-lock — callers must hold unit's section write lock (checked by the locked analyzer)
-func (f *Forest) AddToUnit(unit int, p Point, w RGB) bool {
-	return f.trees[unit].Add(p, w)
-}
-
 // TotalPhotons returns the photons tallied across all trees.
 func (f *Forest) TotalPhotons() int64 {
 	var n int64
@@ -134,19 +125,7 @@ func (f *Forest) MemoryBytes() int64 {
 // The estimate is the leaf's tallied RGB power divided by the bin's measure
 // (surface area covered × projected solid angle): W·m⁻²·sr⁻¹.
 func (f *Forest) Radiance(i int, pt Point, patchArea float64) RGB {
-	// Single-owner read path: concurrent viewers go through
-	// shared.LockedForest.Radiance, which takes the section RLock.
-	//photon:lockheld — no concurrent writer can exist here
-	return f.RadianceInUnit(f.UnitOf(i, pt), pt, patchArea)
-}
-
-// RadianceInUnit is Radiance with the section routing already done (unit
-// as returned by UnitOf); callers holding a per-unit lock — the shared
-// engine's viewer path — avoid recomputing the section.
-//
-//photon:requires-lock — callers must hold unit's section lock, read or write (checked by the locked analyzer)
-func (f *Forest) RadianceInUnit(unit int, pt Point, patchArea float64) RGB {
-	leaf := f.trees[unit].Leaf(pt)
+	leaf := f.trees[f.UnitOf(i, pt)].Leaf(pt)
 	if leaf.count == 0 {
 		return RGB{}
 	}

@@ -103,18 +103,22 @@ func DecodeForest(r io.Reader) (*Forest, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if nTrees < 0 || nTrees > 1<<31 {
-		return nil, fmt.Errorf("bintree: implausible tree count %d", nTrees)
-	}
 	if cells < 1 || cells > 1024 {
 		return nil, fmt.Errorf("bintree: implausible cell count %d", cells)
 	}
-	f := &Forest{cfg: cfg, trees: make([]*Tree, nTrees), cells: int(cells)}
-	for i := range f.trees {
-		var err error
-		if f.trees[i], err = decodeTree(d, cfg); err != nil {
+	// Every encoder writes patches × cells² trees.
+	if nTrees < 0 || nTrees > 1<<31 || nTrees%(cells*cells) != 0 {
+		return nil, fmt.Errorf("bintree: implausible tree count %d for %d cells", nTrees, cells)
+	}
+	// The header's count is only a claim: trees are appended as they
+	// decode, so a short file cannot make the decoder allocate for 2³¹.
+	f := &Forest{cfg: cfg, trees: make([]*Tree, 0, min(nTrees, 1024)), cells: int(cells)}
+	for i := int64(0); i < nTrees; i++ {
+		t, err := decodeTree(d, cfg)
+		if err != nil {
 			return nil, fmt.Errorf("bintree: tree %d: %w", i, err)
 		}
+		f.trees = append(f.trees, t)
 	}
 	return f, nil
 }

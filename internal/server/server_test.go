@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"image/png"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -248,7 +250,18 @@ func TestServeConcurrentRequests(t *testing.T) {
 }
 
 func TestServeBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{MaxPixels: 64 * 64, MaxSamples: 2})
+	_, ts, dir := newTestServer(t, Config{MaxPixels: 64 * 64, MaxSamples: 2})
+	// A 70-byte answer file whose forest header claims 2³¹ trees and
+	// carries none: loading it must fail cleanly, not exhaust memory.
+	hostile := []byte("PANS\x0a\x00\x00\x00quickstart")
+	hostile = binary.LittleEndian.AppendUint64(hostile, 1000)
+	hostile = append(hostile, "PBF2"...)
+	for _, v := range []uint64{math.Float64bits(3), 32, 24, 1, 1 << 31} {
+		hostile = binary.LittleEndian.AppendUint64(hostile, v)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "hostile.pbf"), hostile, 0o666); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		path string
@@ -268,12 +281,16 @@ func TestServeBadRequests(t *testing.T) {
 		{"absolute path", "/render?answer=/etc/passwd", http.StatusBadRequest},
 		{"missing answer", "/render?answer=nope.pbf&w=32&h=32", http.StatusNotFound},
 		{"unknown scene", "/render?scene=atrium&w=32&h=32", http.StatusNotFound},
+		{"hostile tree count", "/render?answer=hostile.pbf&w=32&h=32", http.StatusInternalServerError},
 	}
 	for _, c := range cases {
 		resp, body := get(t, ts.URL+c.path)
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: %s = %d (%s), want %d", c.name, c.path, resp.StatusCode, body, c.want)
 		}
+	}
+	if resp, body := get(t, ts.URL+"/render?answer=q.pbf&w=32&h=32"); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid request after the bad ones = %d (%s), want 200", resp.StatusCode, body)
 	}
 
 	resp, err := http.Post(ts.URL+"/render?answer=q.pbf", "text/plain", nil)

@@ -6,16 +6,15 @@
 // The paper's algorithm (Figure 5.2) runs the trace loop on every worker
 // against one shared bin forest, serializing every tally behind the owning
 // tree's write lock — which caps scaling exactly where the paper predicts
-// lock contention dominates. Run keeps the forest and its per-tree locks
-// but takes them off the hot path. Workers pull photon chunks from a
-// shared work-stealing queue (dynamic self-scheduling: a straggler on a
-// hard chunk never idles a finished worker, unlike a static split), trace
-// each chunk through a private core.Wave into a per-worker tally buffer
-// with no shared state touched, and hand completed buffers to an in-order
-// merger that flushes batched deposits into the forest — splits happen at
-// merge time, under the per-tree lock, so a viewer can still render
-// concurrently with an ongoing simulation (the paper's
-// lights-on-while-walking-in picture).
+// lock contention dominates. Run has no per-tree locks at all. Workers pull
+// photon chunks from a shared work-stealing queue (dynamic self-scheduling:
+// a straggler on a hard chunk never idles a finished worker, unlike a
+// static split), trace each chunk through a private core.Wave into a
+// per-worker tally buffer with no shared state touched, and hand completed
+// buffers to an in-order merger. The merger's baton is the only
+// synchronisation on the forest: one goroutine at a time holds it and
+// applies whole chunks with plain Forest.Add calls (splits happen at merge
+// time), and Run reads the forest only after every worker has exited.
 //
 // Because every photon draws from its private core.PhotonStream substream
 // and chunks are merged in photon-index order, the forest Run produces is
@@ -66,50 +65,6 @@ func DefaultConfig(photons int64) Config {
 	return Config{Core: core.DefaultConfig(photons), Workers: runtime.GOMAXPROCS(0)}
 }
 
-// LockedForest guards a bin forest with one RWMutex per tree. Tally
-// updates (which may split) take the tree's write lock; radiance queries
-// take the read lock, so a viewer can render concurrently with an ongoing
-// simulation. In Run only the merge path writes, so workers never touch a
-// lock while tracing.
-type LockedForest struct {
-	forest *bintree.Forest
-	locks  []sync.RWMutex
-}
-
-// NewLockedForest wraps a fresh unsectioned forest for nPatches patches.
-func NewLockedForest(nPatches int, cfg bintree.Config) *LockedForest {
-	return NewLockedForestSectioned(nPatches, 1, cfg)
-}
-
-// NewLockedForestSectioned wraps a fresh forest with cells×cells section
-// trees per patch; the lock granularity is the section tree.
-func NewLockedForestSectioned(nPatches, cells int, cfg bintree.Config) *LockedForest {
-	f := bintree.NewForestSectioned(nPatches, cells, cfg)
-	return &LockedForest{forest: f, locks: make([]sync.RWMutex, f.NumTrees())}
-}
-
-// Add tallies a photon under the owning tree's write lock; reports a split.
-func (lf *LockedForest) Add(patch int, p bintree.Point, w bintree.RGB) bool {
-	unit := lf.forest.UnitOf(patch, p)
-	lf.locks[unit].Lock()
-	split := lf.forest.AddToUnit(unit, p, w)
-	lf.locks[unit].Unlock()
-	return split
-}
-
-// Radiance queries under the read lock.
-func (lf *LockedForest) Radiance(patch int, p bintree.Point, patchArea float64) bintree.RGB {
-	unit := lf.forest.UnitOf(patch, p)
-	lf.locks[unit].RLock()
-	r := lf.forest.RadianceInUnit(unit, p, patchArea)
-	lf.locks[unit].RUnlock()
-	return r
-}
-
-// Forest returns the underlying forest. Callers must ensure no concurrent
-// mutation (i.e. after Run returns).
-func (lf *LockedForest) Forest() *bintree.Forest { return lf.forest }
-
 // chunkQueue deals out photon chunks: a worker that finishes early steals
 // the next unclaimed chunk instead of idling behind a static partition.
 type chunkQueue struct {
@@ -137,7 +92,9 @@ func (q *chunkQueue) take() (idx, lo, hi int64, ok bool) {
 // order. Whichever worker completes the frontier chunk takes the merge
 // baton and drains every consecutive ready chunk; late chunks park their
 // buffer and return to tracing. In-order commitment is what makes every
-// tree see its tallies in exactly the serial engine's order.
+// tree see its tallies in exactly the serial engine's order, and the baton
+// (applying, flipped only under mu) is what makes the holder the forest's
+// sole writer, so the trees need no locks of their own.
 //
 // Parking is bounded: a worker whose chunk is more than window chunks
 // ahead of the frontier blocks until the frontier catches up, so the
@@ -150,7 +107,7 @@ type merger struct {
 	next     int64
 	window   int64
 	applying bool
-	lf       *LockedForest
+	forest   *bintree.Forest
 	splits   int64
 	done     int64
 	total    int64
@@ -164,7 +121,7 @@ type mergeChunk struct {
 }
 
 // commit parks chunk idx's buffer and, if idx completes the in-order
-// frontier, applies every consecutive ready chunk under the per-tree locks.
+// frontier, takes the baton and applies every consecutive ready chunk.
 func (m *merger) commit(idx, photons int64, buf []core.Tally) {
 	m.mu.Lock()
 	// Backpressure: the frontier chunk itself never waits, so the baton
@@ -204,23 +161,13 @@ func (m *merger) commit(idx, photons int64, buf []core.Tally) {
 	m.mu.Unlock()
 }
 
-// apply flushes one chunk's deposits: consecutive tallies bound for the
-// same tree are applied under a single write-lock hold.
+// apply flushes one chunk's deposits into the forest. Only the merge-baton
+// holder calls it, so it is the forest's only writer while Run is live.
 func (m *merger) apply(buf []core.Tally) (splits int64) {
-	forest := m.lf.forest
-	for i := 0; i < len(buf); {
-		unit := forest.UnitOf(int(buf[i].Patch), buf[i].Point)
-		j := i + 1
-		for j < len(buf) && forest.UnitOf(int(buf[j].Patch), buf[j].Point) == unit {
-			j++
+	for _, t := range buf {
+		if m.forest.Add(int(t.Patch), t.Point, t.Power) {
+			splits++
 		}
-		m.lf.locks[unit].Lock()
-		for ; i < j; i++ {
-			if forest.AddToUnit(unit, buf[i].Point, buf[i].Power) {
-				splits++
-			}
-		}
-		m.lf.locks[unit].Unlock()
 	}
 	return splits
 }
@@ -241,7 +188,7 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 	if chunk <= 0 {
 		chunk = 512
 	}
-	lf := NewLockedForestSectioned(len(scene.Geom.Patches), coreCfg.Sections, coreCfg.Bin)
+	forest := bintree.NewForestSectioned(len(scene.Geom.Patches), coreCfg.Sections, coreCfg.Bin)
 	queue := &chunkQueue{
 		chunks:  (coreCfg.Photons + chunk - 1) / chunk,
 		size:    chunk,
@@ -252,7 +199,7 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 		// Generous window: workers only ever block when tracing outruns
 		// the merge baton by several full rounds.
 		window:   max(int64(cfg.Workers)*4, 16),
-		lf:       lf,
+		forest:   forest,
 		total:    coreCfg.Photons,
 		progress: cfg.Progress,
 		obs:      cfg.Obs,
@@ -302,7 +249,7 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 	total.BinSplits = m.splits
 	return &core.Result{
 		Scene:          scene,
-		Forest:         lf.Forest(),
+		Forest:         forest,
 		Stats:          total,
 		EmittedPhotons: total.PhotonsEmitted,
 	}, nil

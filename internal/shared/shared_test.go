@@ -5,9 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bintree"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/scenes"
 )
 
@@ -54,7 +52,7 @@ func TestForestConservation(t *testing.T) {
 	if got := res.Forest.TotalPhotons(); got != want {
 		t.Fatalf("forest tallies %d, want %d", got, want)
 	}
-	// Per-tree leaf sums intact after concurrent splitting.
+	// Per-tree leaf sums intact after merge-time splitting.
 	for i := 0; i < res.Forest.NumTrees(); i++ {
 		tr := res.Forest.Tree(i)
 		if tr.SumLeafCounts() != tr.Total() {
@@ -91,16 +89,22 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
-		res, err := Run(s, Config{Core: core.DefaultConfig(5000), Workers: workers})
+	// ChunkSize 1 at 8 workers hands the merge baton over once per photon
+	// and keeps the backpressure window engaged; under -race it pins that
+	// the baton alone orders every forest write.
+	for _, c := range []struct {
+		workers int
+		chunk   int64
+	}{{2, 0}, {3, 0}, {8, 0}, {8, 1}} {
+		res, err := Run(s, Config{Core: core.DefaultConfig(5000), Workers: c.workers, ChunkSize: c.chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats != ref.Stats {
-			t.Fatalf("workers=%d stats diverge:\n%+v\n%+v", workers, res.Stats, ref.Stats)
+			t.Fatalf("workers=%d chunk=%d stats diverge:\n%+v\n%+v", c.workers, c.chunk, res.Stats, ref.Stats)
 		}
 		if res.Forest.Fingerprint() != ref.Forest.Fingerprint() {
-			t.Fatalf("workers=%d forest diverges from 1-worker forest", workers)
+			t.Fatalf("workers=%d chunk=%d forest diverges from 1-worker forest", c.workers, c.chunk)
 		}
 	}
 }
@@ -163,59 +167,6 @@ func TestSectionedSharedMatchesSectionedSerial(t *testing.T) {
 	}
 	if serial.Forest.Fingerprint() != par.Forest.Fingerprint() {
 		t.Fatal("sectioned shared forest differs from sectioned serial forest")
-	}
-}
-
-func TestConcurrentAddStress(t *testing.T) {
-	// Hammer one LockedForest from many goroutines; run with -race to
-	// verify the locking discipline.
-	lf := NewLockedForest(4, bintree.DefaultConfig())
-	var wg sync.WaitGroup
-	const goroutines = 8
-	const perG = 20000
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rng.New(seed)
-			for i := 0; i < perG; i++ {
-				p := bintree.Point{S: r.Float64() * r.Float64(), T: r.Float64(), R2: r.Float64(), Theta: r.Float64() * 6.28}
-				lf.Add(r.Intn(4), p, bintree.RGB{R: 1, G: 1, B: 1})
-			}
-		}(int64(g + 1))
-	}
-	wg.Wait()
-	if got := lf.Forest().TotalPhotons(); got != goroutines*perG {
-		t.Fatalf("lost tallies under concurrency: %d, want %d", got, goroutines*perG)
-	}
-	for i := 0; i < 4; i++ {
-		tr := lf.Forest().Tree(i)
-		if tr.SumLeafCounts() != tr.Total() {
-			t.Fatalf("tree %d corrupted: leaf sum %d != total %d", i, tr.SumLeafCounts(), tr.Total())
-		}
-	}
-}
-
-func TestConcurrentReadDuringWrite(t *testing.T) {
-	// Radiance queries while another goroutine mutates: must be race-free
-	// and never panic.
-	lf := NewLockedForest(1, bintree.DefaultConfig())
-	done := make(chan struct{})
-	go func() {
-		r := rng.New(1)
-		for i := 0; i < 50000; i++ {
-			lf.Add(0, bintree.Point{S: r.Float64() * r.Float64(), T: r.Float64(), R2: r.Float64(), Theta: 1}, bintree.RGB{R: 1})
-		}
-		close(done)
-	}()
-	r := rng.New(2)
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			lf.Radiance(0, bintree.Point{S: r.Float64(), T: r.Float64(), R2: 0.5, Theta: 1}, 1)
-		}
 	}
 }
 
