@@ -119,12 +119,9 @@ func perfmodelValidate(sceneName string, photons int64) error {
 		el := time.Since(start).Seconds()
 		rep := run.Report()
 		runs = append(runs, perfmodel.Measured{
-			Ranks:          ranks,
-			WallSeconds:    el,
-			Photons:        res.Stats.PhotonsEmitted,
-			ImbalanceRatio: rep.Metrics["load_imbalance_tallies"],
-			CommMessages:   res.Dist.Traffic.Messages,
-			CommBytes:      res.Dist.Traffic.Bytes,
+			Ranks:       ranks,
+			WallSeconds: el,
+			Photons:     res.Stats.PhotonsEmitted,
 		})
 		fmt.Printf("  measured ranks=%d  %8.0f photons/sec  (%.2fs, imbalance %.2f, %d msgs)\n",
 			ranks, float64(res.Stats.PhotonsEmitted)/el, el,
@@ -153,20 +150,18 @@ func perfmodelValidate(sceneName string, photons int64) error {
 		sceneName, photons, runtime.GOMAXPROCS(0))
 	var sharedRuns []perfmodel.Measured
 	for _, w := range []int{1, 2, 4, 8} {
-		run := obs.NewRun()
 		start := time.Now()
 		res, err := engine.Shared.Run(sc, engine.Config{
-			Core: core.DefaultConfig(photons), Workers: w, Obs: run,
+			Core: core.DefaultConfig(photons), Workers: w,
 		})
 		if err != nil {
 			return fmt.Errorf("workers=%d: %w", w, err)
 		}
 		el := time.Since(start).Seconds()
 		sharedRuns = append(sharedRuns, perfmodel.Measured{
-			Ranks:          w,
-			WallSeconds:    el,
-			Photons:        res.Stats.PhotonsEmitted,
-			ImbalanceRatio: workerImbalance(run.Report(), w),
+			Ranks:       w,
+			WallSeconds: el,
+			Photons:     res.Stats.PhotonsEmitted,
 		})
 		fmt.Printf("  measured workers=%d  %8.0f photons/sec  (%.2fs)\n",
 			w, float64(res.Stats.PhotonsEmitted)/el, el)
@@ -184,28 +179,6 @@ func perfmodelValidate(sceneName string, photons int64) error {
 		}
 	}
 	return nil
-}
-
-// workerImbalance derives max/mean traced photons per worker from the
-// shared engine's worker_photons series — the same residual term the
-// distributed runs report via load_imbalance_tallies.
-func workerImbalance(rep obs.Report, workers int) float64 {
-	series := rep.Series["worker_photons"]
-	if len(series) == 0 || workers <= 0 {
-		return 0
-	}
-	var sum, maxv float64
-	for _, v := range series {
-		sum += v
-		if v > maxv {
-			maxv = v
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	// Workers that stole no chunk at all still count toward the mean.
-	return maxv / (sum / float64(workers))
 }
 
 func printResult(r *experiments.Result, elapsed time.Duration) {

@@ -30,7 +30,9 @@ var (
 	sharedLdr  *analysis.Loader
 )
 
-func loader(t *testing.T) *analysis.Loader {
+// Loader returns the process-wide loader, rooted at the calling test's
+// testdata/src and at the repository two directories up.
+func Loader(t *testing.T) *analysis.Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
 		testdata, err := filepath.Abs("testdata/src")
@@ -51,7 +53,7 @@ func loader(t *testing.T) *analysis.Loader {
 // errors.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	ldr := loader(t)
+	ldr := Loader(t)
 	for _, pkgPath := range pkgs {
 		lp, err := ldr.Load(pkgPath)
 		if err != nil {

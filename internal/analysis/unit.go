@@ -40,21 +40,16 @@ import (
 	"strings"
 )
 
-// unitConfig mirrors the JSON schema of the *.cfg files cmd/go hands a
-// vettool (x/tools/go/analysis/unitchecker.Config).
+// unitConfig holds the fields photon-lint reads from the JSON *.cfg files
+// cmd/go hands a vettool (x/tools/go/analysis/unitchecker.Config); the
+// decoder skips the rest.
 type unitConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool

@@ -76,6 +76,35 @@ func hostileHeader() []byte {
 	return b
 }
 
+// forgedTree is a 215-byte answer file holding one unsectioned tree whose
+// header carries the given split rule and whose root leaf stores the
+// given depth. The encoder always writes a leaf's nesting depth, 0 here.
+func forgedTree(splitSigma float64, minCount, maxDepth, leafDepth int64) []byte {
+	b := []byte("PANS")
+	b = binary.LittleEndian.AppendUint32(b, uint32(len("quickstart")))
+	b = append(b, "quickstart"...)
+	b = binary.LittleEndian.AppendUint64(b, 1000) // emitted photons
+	b = append(b, "PBF2"...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(splitSigma))
+	for _, v := range []int64{minCount, maxDepth, 1, 1} { // cells, trees
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	for _, v := range []float64{0, 0, 0, 0, 1, 1, 1, 2 * math.Pi} { // root lo, hi
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = binary.LittleEndian.AppendUint64(b, 0) // tree total
+	b = append(b, 0)                           // leaf tag
+	for range 1 + 3 + 4 {                      // count, power, halfLo
+		b = binary.LittleEndian.AppendUint64(b, 0)
+	}
+	return binary.LittleEndian.AppendUint64(b, uint64(leafDepth))
+}
+
+// tamperedDepth is a one-tree answer whose root leaf claims depth −256:
+// the split rule compares a leaf's depth with MaxDepth, so a loader that
+// trusted it would let the tree grow 280 levels past MaxDepth 24.
+func tamperedDepth() []byte { return forgedTree(3, 32, 24, -256) }
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not an answer file")); err == nil {
 		t.Fatal("garbage accepted")
@@ -112,6 +141,27 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	binary.LittleEndian.PutUint64(b[cellsAt:], nTrees) // cells² > nTrees
 	if _, err := Load(bytes.NewReader(b)); err == nil {
 		t.Fatalf("%d trees accepted for %d×%d cells", nTrees, nTrees, nTrees)
+	}
+
+	// Structure and split rule are checked, not trusted: a leaf's stored
+	// depth must be its nesting depth, and the header may carry only a
+	// split rule some encoder could have built the trees under.
+	if _, err := Load(bytes.NewReader(forgedTree(3, 32, 24, 0))); err != nil {
+		t.Fatalf("well-formed one-tree answer rejected: %v", err)
+	}
+	for name, file := range map[string][]byte{
+		"leaf depth -256": tamperedDepth(),
+		"leaf depth 1":    forgedTree(3, 32, 24, 1),
+		"SplitSigma 0":    forgedTree(0, 32, 24, 0),
+		"SplitSigma NaN":  forgedTree(math.NaN(), 32, 24, 0),
+		"SplitSigma +Inf": forgedTree(math.Inf(1), 32, 24, 0),
+		"MinCount 0":      forgedTree(3, 0, 24, 0),
+		"MaxDepth 0":      forgedTree(3, 32, 0, 0),
+		"MaxDepth 1025":   forgedTree(3, 32, 1025, 0),
+	} {
+		if _, err := Load(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

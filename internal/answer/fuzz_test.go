@@ -9,8 +9,11 @@ import (
 // either fails to load, or loads into a solution whose Save reproduces the
 // input exactly: the loader accepts only what Save can write. The committed
 // corpus holds a small quickstart answer, truncations of it, and a header
-// claiming 2³¹ trees.
+// claiming 2³¹ trees; a leaf with a forged depth is added as a seed. That
+// property alone cannot catch the forged depth, since Save writes it back
+// verbatim; TestLoadRejectsGarbage pins its rejection.
 func FuzzAnswerLoad(f *testing.F) {
+	f.Add(tamperedDepth())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sol, err := Load(bytes.NewReader(data))
 		if err != nil {

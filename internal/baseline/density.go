@@ -1,11 +1,8 @@
 package baseline
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/scenes"
-	"repro/internal/vecmath"
 )
 
 // Density estimation (Shirley et al., parallelized by Zareski et al.) is
@@ -55,28 +52,6 @@ func TraceDensity(sc *scenes.Scene, photons int64, seed int64) (*DensityResult, 
 	})
 	res.FileBytes = int64(len(res.Hits)) * HitPointBytes
 	return res, nil
-}
-
-// EstimateDensity is the second phase: a fixed grid per surface (no
-// adaptivity — the contrast with Photon's bins), returning per-patch
-// irradiance grids.
-func EstimateDensity(res *DensityResult, nPatches, gridSize int) [][]float64 {
-	grids := make([][]float64, nPatches)
-	for i := range grids {
-		grids[i] = make([]float64, gridSize*gridSize)
-	}
-	for _, h := range res.Hits {
-		gx := int(float64(h.S) * float64(gridSize))
-		gy := int(float64(h.T) * float64(gridSize))
-		if gx >= gridSize {
-			gx = gridSize - 1
-		}
-		if gy >= gridSize {
-			gy = gridSize - 1
-		}
-		grids[h.Patch][gy*gridSize+gx] += float64(h.Power)
-	}
-	return grids
 }
 
 // LargestSurfaceFraction returns the fraction of all hits landing on the
@@ -130,44 +105,4 @@ func PhotonStorageBytes(sc *scenes.Scene, photons int64, seed int64) (int64, err
 		return 0, err
 	}
 	return res.Forest.MemoryBytes(), nil
-}
-
-// SharpShadowMetric quantifies the hard-shadow artefact of point-light ray
-// tracing versus Photon's finite sun: it measures, along a probe segment
-// crossing a shadow boundary, the maximum luminance jump between adjacent
-// samples (1.0 = binary step, small = soft penumbra).
-func SharpShadowMetric(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range samples {
-		lo = math.Min(lo, s)
-		hi = math.Max(hi, s)
-	}
-	if hi <= lo {
-		return 0
-	}
-	var maxJump float64
-	for i := 1; i < len(samples); i++ {
-		j := math.Abs(samples[i]-samples[i-1]) / (hi - lo)
-		if j > maxJump {
-			maxJump = j
-		}
-	}
-	return maxJump
-}
-
-// ProbeShadow samples scene luminance (via a supplied shading function)
-// along a world-space segment; used to compare penumbra widths between the
-// Whitted baseline and Photon answers.
-func ProbeShadow(from, to vecmath.Vec3, n int, shade func(p vecmath.Vec3) float64) []float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = shade(from.Lerp(to, float64(i)/float64(n-1)))
-	}
-	return out
 }

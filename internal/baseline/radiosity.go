@@ -1,3 +1,16 @@
+// Package baseline implements the comparator algorithms the dissertation
+// surveys in chapters 2 and 3, so the repository can regenerate the
+// qualitative comparisons the paper's argument rests on:
+//
+//   - Full-matrix radiosity: the (I − ρF)b = e linear system, its
+//     Gerschgorin diagonal-dominance property, and Jacobi/Gauss-Seidel
+//     solvers.
+//   - Hierarchical radiosity (Hanrahan-style adaptive subdivision driven by
+//     form-factor error — the patch-proliferation behaviour the paper
+//     criticizes).
+//   - Density estimation (Shirley/Zareski): particle tracing into an O(n)
+//     hit-point log and the two-program parallel structure whose meshing
+//     phase bottlenecks on the surface with the most hits.
 package baseline
 
 import (
@@ -150,15 +163,6 @@ func (s *RadiositySystem) SolveGaussSeidel(tol float64, maxIter int) ([]float64,
 	return b, maxIter
 }
 
-// TotalPower returns Σ b_i A_i, for energy accounting.
-func (s *RadiositySystem) TotalPower(b []float64) float64 {
-	var sum float64
-	for i, v := range b {
-		sum += v * s.Area[i]
-	}
-	return sum
-}
-
 // ---------------------------------------------------------------------------
 // Hierarchical radiosity (Hanrahan-style), enough to exhibit the behaviour
 // the dissertation criticizes: subdivision driven by per-link form-factor
@@ -171,7 +175,6 @@ type HRNode struct {
 	S0, S1   float64 // s-range on the defining polygon
 	T0, T1   float64
 	Children []*HRNode
-	B        float64 // radiosity estimate
 }
 
 // Center returns the node's representative world point.

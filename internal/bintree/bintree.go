@@ -126,9 +126,6 @@ type Node struct {
 // IsLeaf reports whether the node is a leaf bin.
 func (n *Node) IsLeaf() bool { return n.left == nil }
 
-// Count returns the photon count tallied into this leaf.
-func (n *Node) Count() int64 { return n.count }
-
 // Power returns the RGB power tallied into this leaf.
 func (n *Node) Power() RGB { return n.power }
 
@@ -190,9 +187,6 @@ func NewTreeDomain(cfg Config, sLo, sHi, tLo, tHi float64) *Tree {
 	root.hi = [numAxes]float64{sHi, tHi, 1, 2 * math.Pi}
 	return &Tree{root: root, cfg: cfg, leaves: 1, nodes: 1}
 }
-
-// Domain returns the tree's root bounds.
-func (t *Tree) Domain() (lo, hi [4]float64) { return t.root.lo, t.root.hi }
 
 // clampPoint forces p into the domain (round-off guard).
 func clampPoint(p Point) Point {

@@ -339,19 +339,6 @@ func TestMemoryGrowsSublinearly(t *testing.T) {
 	}
 }
 
-func TestMergeTransfersTallies(t *testing.T) {
-	a := NewForest(1, DefaultConfig())
-	b := NewForest(1, DefaultConfig())
-	r := rng.New(13)
-	for i := 0; i < 5000; i++ {
-		b.Add(0, lambertPoint(r), white())
-	}
-	a.Merge(b)
-	if a.TotalPhotons() != b.TotalPhotons() {
-		t.Fatalf("merge lost photons: %d vs %d", a.TotalPhotons(), b.TotalPhotons())
-	}
-}
-
 func TestAxisString(t *testing.T) {
 	names := map[Axis]string{AxisS: "s", AxisT: "t", AxisR2: "r2", AxisTheta: "theta"}
 	for a, want := range names {

@@ -189,29 +189,3 @@ func (f *Forest) PhotonCounts() []int64 {
 	}
 	return out
 }
-
-// Merge adds every leaf tally of other into f (trees must be structurally
-// compatible domains; leaves are re-added at their centroids). Merge exists
-// for the naive parallelization strawman the paper rejects — different
-// processors arrive at different adaptive binnings "which cannot be merged
-// without considerable extra computation"; the supported engines never need
-// it. It is retained to make that cost measurable.
-func (f *Forest) Merge(other *Forest) {
-	for i, ot := range other.trees {
-		ot.Walk(func(n *Node) {
-			if !n.IsLeaf() || n.count == 0 {
-				return
-			}
-			center := Point{
-				S:     (n.lo[AxisS] + n.hi[AxisS]) / 2,
-				T:     (n.lo[AxisT] + n.hi[AxisT]) / 2,
-				R2:    (n.lo[AxisR2] + n.hi[AxisR2]) / 2,
-				Theta: (n.lo[AxisTheta] + n.hi[AxisTheta]) / 2,
-			}
-			per := n.power.Scale(1 / float64(n.count))
-			for k := int64(0); k < n.count; k++ {
-				f.trees[i].Add(center, per)
-			}
-		})
-	}
-}

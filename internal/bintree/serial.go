@@ -33,9 +33,10 @@ import (
 
 const forestMagic = "PBF2"
 
-// maxDecodeDepth bounds the node recursion of a decode: a hostile stream
-// of ever-narrower splits must fail cleanly, not exhaust the stack. Real
-// trees stop at Config.MaxDepth (24 by default).
+// maxDecodeDepth bounds the MaxDepth a decoded header may claim, and with
+// it the node recursion of a decode: a hostile stream of ever-narrower
+// splits must fail cleanly, not exhaust the stack. Real trees stop at
+// Config.MaxDepth (24 by default).
 const maxDecodeDepth = 1024
 
 // EncodeForest writes the forest to w.
@@ -98,7 +99,10 @@ func DecodeForest(r io.Reader) (*Forest, error) {
 		return nil, fmt.Errorf("bintree: bad magic %q", magic)
 	}
 	d := &decoder{r: br}
-	cfg := Config{SplitSigma: d.f64(), MinCount: d.i64(), MaxDepth: int(d.i64())}
+	cfg, err := d.config()
+	if err != nil {
+		return nil, err
+	}
 	cells, nTrees := d.i64(), d.i64()
 	if d.err != nil {
 		return nil, d.err
@@ -123,6 +127,25 @@ func DecodeForest(r io.Reader) (*Forest, error) {
 	return f, nil
 }
 
+// config reads and checks the split rule every tree of a file or message
+// shares. Values no encoder writes are refused: a file that lowered
+// MinCount or raised MaxDepth would let its trees grow past the rule they
+// were built under.
+func (d *decoder) config() (Config, error) {
+	cfg := Config{SplitSigma: d.f64(), MinCount: d.i64(), MaxDepth: int(d.i64())}
+	switch {
+	case d.err != nil:
+		return cfg, d.err
+	case !(cfg.SplitSigma > 0) || math.IsInf(cfg.SplitSigma, 1):
+		return cfg, fmt.Errorf("bintree: invalid SplitSigma %g", cfg.SplitSigma)
+	case cfg.MinCount < 1:
+		return cfg, fmt.Errorf("bintree: invalid MinCount %d", cfg.MinCount)
+	case cfg.MaxDepth < 1 || cfg.MaxDepth > maxDecodeDepth:
+		return cfg, fmt.Errorf("bintree: invalid MaxDepth %d", cfg.MaxDepth)
+	}
+	return cfg, nil
+}
+
 // decodeTree reads a tree written by appendTree.
 func decodeTree(d *decoder, cfg Config) (*Tree, error) {
 	var lo, hi [numAxes]float64
@@ -142,7 +165,7 @@ func decodeTree(d *decoder, cfg Config) (*Tree, error) {
 		}
 	}
 	var err error
-	t.root, t.nodes, t.leaves, err = decodeNode(d, lo, hi, 0)
+	t.root, t.nodes, t.leaves, err = decodeNode(d, cfg.MaxDepth, lo, hi, 0)
 	return t, err
 }
 
@@ -168,9 +191,13 @@ func (d *decoder) u8() byte     { return d.read(1)[0] }
 func (d *decoder) i64() int64   { return int64(binary.LittleEndian.Uint64(d.read(8))) }
 func (d *decoder) f64() float64 { return math.Float64frombits(binary.LittleEndian.Uint64(d.read(8))) }
 
-func decodeNode(d *decoder, lo, hi [numAxes]float64, depth int) (n *Node, nodes, leaves int, err error) {
-	if depth > maxDecodeDepth {
-		return nil, 0, 0, fmt.Errorf("node nesting deeper than %d", maxDecodeDepth)
+// decodeNode reads the node at the given nesting depth. A tree never
+// nests deeper than its MaxDepth, and every leaf's stored depth must be
+// its nesting depth: the split rule reads that depth, so a forged one
+// would let the leaf split past MaxDepth.
+func decodeNode(d *decoder, maxDepth int, lo, hi [numAxes]float64, depth int) (n *Node, nodes, leaves int, err error) {
+	if depth > maxDepth {
+		return nil, 0, 0, fmt.Errorf("node nesting deeper than MaxDepth %d", maxDepth)
 	}
 	n = &Node{lo: lo, hi: hi, depth: depth}
 	switch tag := d.u8(); {
@@ -182,7 +209,9 @@ func decodeNode(d *decoder, lo, hi [numAxes]float64, depth int) (n *Node, nodes,
 		for a := range n.halfLo {
 			n.halfLo[a] = d.i64()
 		}
-		n.depth = int(d.i64())
+		if stored := d.i64(); d.err == nil && stored != int64(depth) {
+			return nil, 0, 0, fmt.Errorf("leaf at depth %d claims depth %d", depth, stored)
+		}
 		return n, 1, 1, d.err
 	case tag == 1:
 		axis, at := d.u8(), d.f64()
@@ -201,10 +230,10 @@ func decodeNode(d *decoder, lo, hi [numAxes]float64, depth int) (n *Node, nodes,
 		rlo[axis] = n.splitAt
 		var ln, rn *Node
 		var lNodes, lLeaves, rNodes, rLeaves int
-		if ln, lNodes, lLeaves, err = decodeNode(d, lo, lhi, depth+1); err != nil {
+		if ln, lNodes, lLeaves, err = decodeNode(d, maxDepth, lo, lhi, depth+1); err != nil {
 			return nil, 0, 0, err
 		}
-		if rn, rNodes, rLeaves, err = decodeNode(d, rlo, hi, depth+1); err != nil {
+		if rn, rNodes, rLeaves, err = decodeNode(d, maxDepth, rlo, hi, depth+1); err != nil {
 			return nil, 0, 0, err
 		}
 		n.left, n.right = ln, rn
@@ -227,7 +256,10 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 func (t *Tree) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	d := &decoder{r: r}
-	cfg := Config{SplitSigma: d.f64(), MinCount: d.i64(), MaxDepth: int(d.i64())}
+	cfg, err := d.config()
+	if err != nil {
+		return err
+	}
 	tree, err := decodeTree(d, cfg)
 	if err != nil {
 		return fmt.Errorf("bintree: tree: %w", err)

@@ -41,7 +41,9 @@ import (
 // mismatched binaries so a stale worker can never silently corrupt a job.
 // Version 3: frames everywhere, JSON control bodies, dist's fixed
 // little-endian message set, and the checkpoint carried as its bytes.
-const WireVersion = 3
+// Version 4: JobSpec no longer carries PrePhotons; the pre-phase size is
+// derived from the photon budget.
+const WireVersion = 4
 
 // Control message kinds. One envelope struct with a Kind discriminant
 // keeps every control message one JSON shape.
@@ -101,10 +103,9 @@ type JobSpec struct {
 	Seed    int64
 	// Ranks is the world size, coordinator included.
 	Ranks int
-	// BatchSize, Sections, PrePhotons override engine defaults when > 0.
-	BatchSize  int
-	Sections   int
-	PrePhotons int64
+	// BatchSize and Sections override engine defaults when > 0.
+	BatchSize int
+	Sections  int
 	// CheckpointEvery gathers a recovery snapshot to the coordinator
 	// every this many rounds (replicated engine only; 0 disables).
 	CheckpointEvery int
@@ -130,9 +131,6 @@ func (j JobSpec) distConfig() (dist.Config, error) {
 	}
 	if j.Sections > 0 {
 		cfg.Sections = j.Sections
-	}
-	if j.PrePhotons > 0 {
-		cfg.PrePhotons = j.PrePhotons
 	}
 	return cfg, nil
 }

@@ -90,9 +90,6 @@ func NewWave(sim *Simulator, size int) *Wave {
 	return w
 }
 
-// Size returns the batch width in photons.
-func (w *Wave) Size() int { return w.size }
-
 // grow sizes the per-slot storage for batches of up to n photons.
 func (w *Wave) grow(n int) {
 	if len(w.streams) >= n {

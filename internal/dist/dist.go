@@ -100,9 +100,6 @@ type Config struct {
 	// otherwise 1. normalize syncs Core.Sections to the winner so the two
 	// views never diverge.
 	Sections int
-	// PrePhotons is the redundant pre-phase sample size used to estimate
-	// per-section load before ownership is assigned (Run only).
-	PrePhotons int64
 	// Progress, when non-nil, receives the photons globally finished so
 	// far and the total. Rank 0 reports it once per exchange round.
 	Progress func(done, total int64)
@@ -118,16 +115,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the replicated-geometry engine defaults: the
-// paper's initial 500-photon batches, 4×4 sections per polygon, and a
-// pre-phase of 5% of the budget clamped to [1000, 20000].
+// paper's initial 500-photon batches and 4×4 sections per polygon.
 func DefaultConfig(photons int64, ranks int) Config {
 	return Config{
-		Core:       core.DefaultConfig(photons),
-		Ranks:      ranks,
-		BatchSize:  500,
-		Balance:    BalanceBinPack,
-		Sections:   4,
-		PrePhotons: defaultPrePhase(photons),
+		Core:      core.DefaultConfig(photons),
+		Ranks:     ranks,
+		BatchSize: 500,
+		Balance:   BalanceBinPack,
+		Sections:  4,
 	}
 }
 
@@ -141,6 +136,9 @@ func DefaultGeoConfig(photons int64, ranks int) Config {
 	return cfg
 }
 
+// defaultPrePhase is the redundant pre-phase sample size Run uses to
+// estimate per-section load before ownership is assigned: 5% of the
+// budget clamped to [1000, 20000].
 func defaultPrePhase(photons int64) int64 {
 	p := photons / 20
 	if p < 1000 {
@@ -174,9 +172,6 @@ func (c *Config) normalize() error {
 	}
 	// Keep the core view coherent: the forest shape is dist's Sections.
 	c.Core.Sections = c.Sections
-	if c.PrePhotons <= 0 {
-		c.PrePhotons = defaultPrePhase(c.Core.Photons)
-	}
 	return nil
 }
 

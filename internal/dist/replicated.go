@@ -56,7 +56,7 @@ func planReplicated(scene *scenes.Scene, cfg Config) (*repPlan, error) {
 	// short redundant simulation whose tallies are discarded. Every rank
 	// would compute identical counts from the identical stream, so the
 	// driver computes them once on behalf of all ranks.
-	weights := prePhaseWeights(sim, cfg)
+	weights := prePhaseWeights(sim, cfg.Sections, defaultPrePhase(cfg.Core.Photons))
 	var asn *loadbalance.Assignment
 	if cfg.Balance == BalanceNaive {
 		asn, err = loadbalance.Naive(weights, cfg.Ranks)
@@ -91,16 +91,16 @@ func Run(scene *scenes.Scene, cfg Config) (*Result, error) {
 	})
 }
 
-// prePhaseWeights traces cfg.PrePhotons photons into a scratch forest and
+// prePhaseWeights traces prePhotons photons into a scratch forest and
 // returns the per-section photon counts the packer will balance. The
 // scratch tallies are discarded: the pre-phase estimates load only, so the
 // main run still emits exactly Core.Photons. It samples the exact prefix
 // of the main run's photon stream, so the load estimate is of the photons
 // actually traced.
-func prePhaseWeights(sim *core.Simulator, cfg Config) []int64 {
-	scratch := bintree.NewForestSectioned(len(sim.Scene().Geom.Patches), cfg.Sections, sim.Config().Bin)
+func prePhaseWeights(sim *core.Simulator, sections int, prePhotons int64) []int64 {
+	scratch := bintree.NewForestSectioned(len(sim.Scene().Geom.Patches), sections, sim.Config().Bin)
 	var st core.Stats
-	core.NewWave(sim, 0).Trace(0, cfg.PrePhotons, &st, func(t core.Tally) {
+	core.NewWave(sim, 0).Trace(0, prePhotons, &st, func(t core.Tally) {
 		scratch.Add(int(t.Patch), t.Point, t.Power)
 	})
 	return scratch.PhotonCounts()

@@ -25,8 +25,6 @@ type Photon struct {
 	Power vecmath.Vec3
 	// Polarization is the degree of linear polarization (0 = unpolarized).
 	Polarization float64
-	// Bounces counts reflections so far.
-	Bounces int
 }
 
 // Emitter generates photons for a scene. Generate only reads it — all
@@ -68,9 +66,6 @@ func New(scene *geom.Scene, expectedPhotons int64) (*Emitter, error) {
 
 // TotalPower returns the scene's total luminance-weighted emission power.
 func (e *Emitter) TotalPower() float64 { return e.total }
-
-// PerPhotonBudget returns the scalar power quantum each photon carries.
-func (e *Emitter) PerPhotonBudget() float64 { return e.perPhotonBudget }
 
 // Generate emits one photon: luminaire chosen with probability proportional
 // to its power, position uniform on the patch, direction cosine-weighted

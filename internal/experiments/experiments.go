@@ -206,11 +206,8 @@ func Fig43Kernels(samples int) (*Result, error) {
 
 // Fig54Memory regenerates Figure 5.4: bin-forest memory versus photons for
 // the Harpsichord Room — rapid initial buildup, then sub-linear growth.
-// The geometry side of the figure's memory story is the constant term:
-// Octree.MemoryEstimate reports the flattened index exactly (64 B per node
-// in the contiguous node slice plus 4 B per leaf-slab entry), with the same
-// accounting constants the pre-flattening walk charged per pointer node, so
-// the geometry-vs-forest split stays comparable across PRs.
+// Geometry storage is constant in the photon count, so the figure plots
+// the forest alone.
 func Fig54Memory(maxPhotons int64) (*Result, error) {
 	if maxPhotons <= 0 {
 		maxPhotons = 600000

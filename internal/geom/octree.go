@@ -225,12 +225,18 @@ func (o *Octree) Intersect(r vecmath.Ray, tMin, tMax float64, h *Hit) bool {
 // against the best hit found so far, so a cell entered beyond it is
 // discarded unvisited.
 //
-// The slab test is AABB.IntersectRayInv's compare-and-swap arithmetic in
-// the same order, inlined by hand (the Go inliner balks at its size) and
-// reduced to the boolean: t0 only grows and t1 only shrinks as axes fold
-// in, so "t0 > t1 after any axis" decides the final comparison. NaN
-// comparisons (a ray starting exactly on a slab plane of an axis-parallel
-// direction) are all false and leave t0/t1 untouched, as in the full test.
+// The slab test is the textbook one, inlined by hand (the Go inliner balks
+// at its size) and reduced to the boolean: per axis x, y, z in turn, near
+// and far are (Min−origin)·inv and (Max−origin)·inv, swapped by value if
+// near > far, and folded into t0/t1. t0 only grows and t1 only shrinks as
+// axes fold in, so "t0 > t1 after any axis" decides the final comparison.
+// Near/far stay a value compare-and-swap rather than slabs picked from the
+// reciprocal's sign: the two differ when a ray starts exactly on a slab
+// plane with a negative-zero direction component (0·−∞ = NaN lands on a
+// different comparison), and traversal decisions — hence forests and
+// renders — are compared bit-exactly across refactors. NaN comparisons (a
+// ray starting exactly on a slab plane of an axis-parallel direction) are
+// all false and leave t0/t1 untouched.
 // Testing at pop time against the then-current best is the same decision
 // as a push-time slab test followed by a pop-time entry-distance check:
 // t0 is clamped to tMin only and never depends on the upper bound, so the
@@ -351,14 +357,3 @@ func (o *Octree) RegionOf(p vecmath.Vec3) int {
 
 // Bounds returns the root bounds of the octree.
 func (o *Octree) Bounds() vecmath.AABB { return o.nodes[0].bounds }
-
-// flatNodeBytes is the size of one flatNode: a 48-byte AABB plus three
-// int32s, padded to 8-byte alignment.
-const flatNodeBytes = 64
-
-// MemoryEstimate returns the byte count of the flattened index — the node
-// slice plus the shared leaf slab — used by the memory-growth experiment to
-// separate geometry storage (constant) from the bin forest (growing).
-func (o *Octree) MemoryEstimate() int64 {
-	return int64(len(o.nodes))*flatNodeBytes + int64(len(o.items))*4
-}

@@ -64,7 +64,7 @@ func TestOctreePropertyMatchesBrute(t *testing.T) {
 			// From the exact center outward: the origin sits on all three
 			// octant boundaries.
 			checkAgainstBrute(t, s, vecmath.Ray{Origin: center, Dir: sampler.UniformSphere(r)}, "from-center")
-			// From a point exactly on a patch surface (the shadow-ray and
+			// From a point exactly on a patch surface (the
 			// photon-continuation case): tMin must keep the source patch
 			// from shadowing itself identically in both intersectors.
 			p := &s.Patches[i%len(s.Patches)]

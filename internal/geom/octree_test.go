@@ -156,13 +156,6 @@ func TestOctreeStats(t *testing.T) {
 	}
 }
 
-func TestOctreeMemoryEstimatePositive(t *testing.T) {
-	s := boxScene(t, 10, 100, 5)
-	if s.Octree().MemoryEstimate() <= 0 {
-		t.Fatal("memory estimate not positive")
-	}
-}
-
 func TestRegionOf(t *testing.T) {
 	s := boxScene(t, 10, 0, 1)
 	o := s.Octree()
@@ -175,32 +168,6 @@ func TestRegionOf(t *testing.T) {
 	}
 	if got := o.RegionOf(vecmath.V(1e6, 0, 0)); got != -1 {
 		t.Errorf("outside point region = %d, want -1", got)
-	}
-}
-
-func TestOccluded(t *testing.T) {
-	// A patch between two points blocks them; points beside it are clear.
-	patches := roomPatches(10)
-	patches = append(patches, Patch{
-		Origin: vecmath.V(4, 4, 5), EdgeS: vecmath.V(2, 0, 0), EdgeT: vecmath.V(0, 2, 0),
-	})
-	s, err := NewScene(patches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Occluded(vecmath.V(5, 5, 2), vecmath.V(5, 5, 8)) {
-		t.Error("blocker not detected")
-	}
-	if s.Occluded(vecmath.V(1, 1, 2), vecmath.V(1, 1, 8)) {
-		t.Error("clear path reported occluded")
-	}
-}
-
-func TestOccludedIgnoresEndpoints(t *testing.T) {
-	s := boxScene(t, 10, 0, 1)
-	// Segment from wall to wall: endpoint surfaces must not count.
-	if s.Occluded(vecmath.V(0, 5, 5), vecmath.V(10, 5, 5)) {
-		t.Fatal("endpoints counted as occluders")
 	}
 }
 

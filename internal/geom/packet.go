@@ -23,9 +23,6 @@ type RayPacket struct {
 // Reset empties the packet, retaining capacity.
 func (p *RayPacket) Reset() { p.n = 0 }
 
-// Len returns the number of rays in the packet.
-func (p *RayPacket) Len() int { return p.n }
-
 // Append adds a ray to the packet and returns its index. The reciprocal
 // direction is computed here, with exactly the arithmetic (1/D per
 // component) the scalar Octree.Intersect performs, so packet and scalar

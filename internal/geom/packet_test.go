@@ -178,8 +178,8 @@ func TestIntersectPacketScratchReuse(t *testing.T) {
 }
 
 // TestIntersectPacketRangeLimits checks the explicit (tMin, tMax) entry
-// point against the brute-force reference at the same limits — the
-// Occluded use case, where tMax is finite, and a raised tMin.
+// point against the brute-force reference at the same limits — a finite
+// tMax and a raised tMin.
 func TestIntersectPacketRangeLimits(t *testing.T) {
 	s := boxScene(t, 10, 60, 43)
 	r := rng.New(47)
@@ -208,18 +208,13 @@ func TestIntersectPacketRangeLimits(t *testing.T) {
 }
 
 // TestIntersectAllocatesNothing pins the zero-allocation contract of the
-// single-ray entry points every photon bounce, view ray and shadow ray
-// takes: the node stack lives on the caller's frame and the hit record is
-// the caller's.
+// single-ray entry point every photon bounce and view ray takes: the node
+// stack lives on the caller's frame and the hit record is the caller's.
 func TestIntersectAllocatesNothing(t *testing.T) {
 	s := boxScene(t, 10, 60, 5)
 	ray := vecmath.Ray{Origin: vecmath.V(5, 5, 5), Dir: vecmath.V(0.6, 0, 0.8)}
 	var h Hit
 	if n := testing.AllocsPerRun(100, func() { s.Intersect(ray, &h) }); n != 0 {
 		t.Errorf("Scene.Intersect: %v allocs per call, want 0", n)
-	}
-	from, to := vecmath.V(1, 1, 1), vecmath.V(9, 8, 7)
-	if n := testing.AllocsPerRun(100, func() { s.Occluded(from, to) }); n != 0 {
-		t.Errorf("Scene.Occluded: %v allocs per call, want 0", n)
 	}
 }

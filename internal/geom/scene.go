@@ -77,27 +77,6 @@ func (s *Scene) IntersectBrute(r vecmath.Ray, h *Hit) bool {
 	return found
 }
 
-// Occluded reports whether any patch blocks the open segment between two
-// points. Baseline renderers use it for shadow rays.
-//
-// Shadow-ray offset contract: the endpoints are excluded by shrinking the
-// parametric range to [Eps, dist−Eps] — the same Eps that offsets photon
-// continuation rays — so a surface passing through either endpoint never
-// occludes its own segment. Plane-equation round-off at scene scale is
-// orders of magnitude below Eps, so callers may pass surface points
-// directly; offsetting `from` along the surface normal first (as the
-// Whitted baseline does) is permitted but not required.
-func (s *Scene) Occluded(from, to vecmath.Vec3) bool {
-	d := to.Sub(from)
-	dist := d.Len()
-	if dist <= 2*Eps {
-		return false // degenerate segment: the open range (Eps, dist-Eps) is empty
-	}
-	r := vecmath.Ray{Origin: from, Dir: d.Scale(1 / dist)}
-	var h Hit
-	return s.octree.Intersect(r, Eps, dist-Eps, &h)
-}
-
 // TotalArea returns the summed area of all patches.
 func (s *Scene) TotalArea() float64 {
 	var a float64

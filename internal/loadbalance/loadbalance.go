@@ -87,22 +87,6 @@ func Naive(weights []int64, ranks int) (*Assignment, error) {
 	return a, nil
 }
 
-// RoundRobin assigns items to ranks cyclically by index, ignoring the
-// weights — the interleaved flavour of naive assignment. Hot items still
-// land whole on single ranks, which is what Table 5.2's naive column shows.
-func RoundRobin(weights []int64, ranks int) (*Assignment, error) {
-	if err := validate(weights, ranks); err != nil {
-		return nil, err
-	}
-	a := &Assignment{Owner: make([]int, len(weights)), Load: make([]int64, ranks)}
-	for i, w := range weights {
-		r := i % ranks
-		a.Owner[i] = r
-		a.Load[r] += w
-	}
-	return a, nil
-}
-
 // rankHeap is a min-heap of (load, rank) pairs for Best-Fit.
 type rankHeap struct {
 	load []int64

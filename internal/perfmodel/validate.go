@@ -23,14 +23,6 @@ type Measured struct {
 	WallSeconds float64
 	// Photons is the number of photons the run emitted.
 	Photons int64
-	// ImbalanceRatio is the observed max/mean per-rank load (0 if not
-	// collected); reported alongside the speedup comparison because load
-	// imbalance is the model's residual term.
-	ImbalanceRatio float64
-	// CommMessages and CommBytes are the run's substrate traffic totals
-	// (0 for serial/shared runs).
-	CommMessages int64
-	CommBytes    int64
 }
 
 // Rate returns the run's measured throughput in photons/second.
@@ -49,10 +41,7 @@ type Prediction struct {
 	PredictedSpeedup float64 `json:"predicted_speedup"`
 	// Ratio is measured over predicted speedup: 1 means the host scales
 	// exactly as the modelled platform, above 1 it scales better.
-	Ratio          float64 `json:"ratio"`
-	ImbalanceRatio float64 `json:"imbalance_ratio,omitempty"`
-	CommMessages   int64   `json:"comm_messages,omitempty"`
-	CommBytes      int64   `json:"comm_bytes,omitempty"`
+	Ratio float64 `json:"ratio"`
 }
 
 // ValidationReport is the measured-versus-predicted comparison for one
@@ -111,9 +100,6 @@ func Validate(p Platform, s SceneModel, runs []Measured) (ValidationReport, erro
 			MeasuredRate:     m.Rate(),
 			MeasuredSpeedup:  m.Rate() / rep.BaselineRate,
 			PredictedSpeedup: Speedup(p, s, m.Ranks, validationBudget),
-			ImbalanceRatio:   m.ImbalanceRatio,
-			CommMessages:     m.CommMessages,
-			CommBytes:        m.CommBytes,
 		}
 		if pt.PredictedSpeedup > 0 {
 			pt.Ratio = pt.MeasuredSpeedup / pt.PredictedSpeedup

@@ -10,7 +10,7 @@ func TestValidateComputesSpeedups(t *testing.T) {
 	// Synthetic measurements: 1000 photons/s serial, perfect 2x at two
 	// ranks, 3x at four.
 	runs := []Measured{
-		{Ranks: 4, WallSeconds: 1, Photons: 3000, ImbalanceRatio: 1.2, CommMessages: 48, CommBytes: 9000},
+		{Ranks: 4, WallSeconds: 1, Photons: 3000},
 		{Ranks: 1, WallSeconds: 1, Photons: 1000},
 		{Ranks: 2, WallSeconds: 1, Photons: 2000},
 	}
@@ -42,9 +42,6 @@ func TestValidateComputesSpeedups(t *testing.T) {
 	}
 	if want := p4.MeasuredSpeedup / p4.PredictedSpeedup; math.Abs(p4.Ratio-want) > 1e-12 {
 		t.Fatalf("ratio = %v, want %v", p4.Ratio, want)
-	}
-	if p4.ImbalanceRatio != 1.2 || p4.CommBytes != 9000 {
-		t.Fatalf("telemetry not carried through: %+v", p4)
 	}
 }
 

@@ -79,12 +79,6 @@ type Grid struct {
 // NumPatches returns the patch count the grid was baked for.
 func (g *Grid) NumPatches() int { return g.patches }
 
-// Cells returns the per-axis spatial probe resolution.
-func (g *Grid) Cells() int { return g.cells }
-
-// Terms returns the Legendre term count per probe.
-func (g *Grid) Terms() int { return g.terms }
-
 // MemoryBytes returns the coefficient storage size.
 func (g *Grid) MemoryBytes() int64 { return int64(len(g.coef)) * 24 }
 

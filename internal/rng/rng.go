@@ -7,10 +7,8 @@
 // periods of 2^48/P"). The engines here instead give every photon its own
 // substream, positioned by hashing (seed, photon index) — see
 // core.PhotonStream — so a trajectory does not depend on which worker
-// traces it; JumpAhead remains for positioning a stream exactly.
+// traces it.
 package rng
-
-import "math"
 
 const (
 	// Multiplier and increment of the drand48 LCG: x' = (a*x + c) mod 2^48.
@@ -76,56 +74,3 @@ func (s *Source) Intn(n int) int {
 	// scene-sized n used here.
 	return int(s.next() % uint64(n))
 }
-
-// NormFloat64 returns a standard normal variate via Box-Muller (polar form,
-// one value per call; the mate is discarded to keep the stream position
-// deterministic at exactly two uniforms consumed per accepted pair).
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(q)/q)
-	}
-}
-
-// affine represents the map x -> (mul*x + add) mod 2^48. Composing affines
-// lets us jump ahead n steps in O(log n) multiplications.
-type affine struct {
-	mul, add uint64
-}
-
-// compose returns the map "g after f": x -> g(f(x)).
-func compose(g, f affine) affine {
-	return affine{
-		mul: (g.mul * f.mul) & mask48,
-		add: (g.mul*f.add + g.add) & mask48,
-	}
-}
-
-// affinePower returns the n-fold self-composition of the single-step map.
-func affinePower(n uint64) affine {
-	result := affine{mul: 1, add: 0} // identity
-	step := affine{mul: mulA, add: addC}
-	for n > 0 {
-		if n&1 == 1 {
-			result = compose(step, result)
-		}
-		step = compose(step, step)
-		n >>= 1
-	}
-	return result
-}
-
-// JumpAhead advances the stream by n steps in O(log n) time, equivalent to
-// calling Uint64 n times and discarding the results.
-func (s *Source) JumpAhead(n uint64) {
-	m := affinePower(n)
-	s.state = (m.mul*s.state + m.add) & mask48
-}
-
-// Clone returns an independent copy positioned at the same stream point.
-func (s *Source) Clone() *Source { return &Source{state: s.state} }

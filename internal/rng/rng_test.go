@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterministic(t *testing.T) {
@@ -95,90 +94,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
-}
-
-func TestJumpAheadMatchesSequentialStepping(t *testing.T) {
-	for _, n := range []uint64{0, 1, 2, 3, 17, 100, 12345} {
-		a := New(55)
-		b := New(55)
-		for i := uint64(0); i < n; i++ {
-			a.Uint64()
-		}
-		b.JumpAhead(n)
-		if a.State() != b.State() {
-			t.Fatalf("JumpAhead(%d): state %x, sequential %x", n, b.State(), a.State())
-		}
-	}
-}
-
-func TestJumpAheadProperty(t *testing.T) {
-	f := func(seed int64, steps uint16) bool {
-		n := uint64(steps) % 4096
-		a, b := New(seed), New(seed)
-		for i := uint64(0); i < n; i++ {
-			a.Uint64()
-		}
-		b.JumpAhead(n)
-		return a.State() == b.State()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJumpAheadComposes(t *testing.T) {
-	// Jumping a then b equals jumping a+b.
-	a, b := New(9), New(9)
-	a.JumpAhead(1 << 20)
-	a.JumpAhead(1 << 21)
-	b.JumpAhead(1<<20 + 1<<21)
-	if a.State() != b.State() {
-		t.Fatal("JumpAhead does not compose additively")
-	}
-}
-
-func TestJumpAheadFullPeriodIsIdentity(t *testing.T) {
-	s := New(1234)
-	before := s.State()
-	// 2^48 steps wraps the full period back to the start. JumpAhead takes a
-	// uint64 so the full period is representable.
-	s.JumpAhead(1 << 48)
-	if s.State() != before {
-		t.Fatalf("full-period jump changed state: %x -> %x", before, s.State())
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := New(2)
-	b := a.Clone()
-	a.Uint64()
-	if a.State() == b.State() {
-		t.Fatal("advancing original affected clone")
-	}
-	// But the clone continues from the shared point identically.
-	c := New(2)
-	if b.Uint64() != c.Uint64() {
-		t.Fatal("clone diverged from source history")
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(2024)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v", variance)
-	}
 }
 
 func TestStateMask48(t *testing.T) {

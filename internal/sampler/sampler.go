@@ -31,12 +31,10 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Flop costs under the Lawrence Livermore convention the paper uses.
+// Flop costs under the Lawrence Livermore convention the paper uses: one
+// pseudo-random number generation costs 3, one sin or cos 8, and one
+// square root 4.
 const (
-	FlopsRandom = 3 // one pseudo-random number generation
-	FlopsSinCos = 8 // one sin or cos evaluation
-	FlopsSqrt   = 4 // one square root
-
 	// FlopsShirley is the fixed cost of the closed-form kernel:
 	// 2 randoms (6) + 2πξ₁ (1) + cos (8) + sin (8) + √ξ₂ (4) + 2 muls (2)
 	// + 1−ξ₂ (1) + √ (4) = 34, as derived in chapter 4.
@@ -113,33 +111,12 @@ func LimitedDirection(r *rng.Source, scale float64) vecmath.Vec3 {
 // round value 0.005; sin(0.25°) = 0.004363 — we keep the paper's constant.
 const SunScale = 0.005
 
-// UniformHemisphere returns a direction uniform over the hemisphere about
-// +Z (solid-angle uniform, not cosine-weighted). Radiosity-style baselines
-// use it for form-factor estimation.
-func UniformHemisphere(r *rng.Source) vecmath.Vec3 {
-	z := r.Float64()
-	phi := 2 * math.Pi * r.Float64()
-	s := math.Sqrt(1 - z*z)
-	return vecmath.Vec3{X: math.Cos(phi) * s, Y: math.Sin(phi) * s, Z: z}
-}
-
 // UniformSphere returns a direction uniform over the full sphere.
 func UniformSphere(r *rng.Source) vecmath.Vec3 {
 	z := 2*r.Float64() - 1
 	phi := 2 * math.Pi * r.Float64()
 	s := math.Sqrt(1 - z*z)
 	return vecmath.Vec3{X: math.Cos(phi) * s, Y: math.Sin(phi) * s, Z: z}
-}
-
-// UniformDisc returns a point uniform in the unit disc via rejection.
-func UniformDisc(r *rng.Source) (x, y float64) {
-	for {
-		x = r.Float64()*2 - 1
-		y = r.Float64()*2 - 1
-		if x*x+y*y <= 1 {
-			return x, y
-		}
-	}
 }
 
 // CylindricalCoords converts a local-frame outgoing direction (unit vector,

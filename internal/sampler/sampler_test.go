@@ -176,19 +176,6 @@ func TestSunScaleMatchesQuarterDegree(t *testing.T) {
 	}
 }
 
-func TestUniformHemisphereMeanZ(t *testing.T) {
-	// Solid-angle-uniform hemisphere has E[z] = 1/2 (vs cosine's 2/3).
-	r := rng.New(11)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += UniformHemisphere(r).Z
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("E[z] = %v, want 0.5", mean)
-	}
-}
-
 func TestUniformSphereMeanZero(t *testing.T) {
 	r := rng.New(12)
 	var sum vecmath.Vec3
@@ -199,16 +186,6 @@ func TestUniformSphereMeanZero(t *testing.T) {
 	mean := sum.Scale(1.0 / n)
 	if mean.Len() > 0.02 {
 		t.Fatalf("mean direction %v not near zero", mean)
-	}
-}
-
-func TestUniformDiscInUnitCircle(t *testing.T) {
-	r := rng.New(13)
-	for i := 0; i < 10000; i++ {
-		x, y := UniformDisc(r)
-		if x*x+y*y > 1 {
-			t.Fatalf("point (%v,%v) outside unit disc", x, y)
-		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // axis-aligned shell so that — whatever the parameters — a photon can
 // never escape the scene, and always places at least one luminaire.
 //
-// To add a family: append to this slice with a name, one-line doc, a
+// To add a family: append to this slice with a one-line comment, a name, a
 // parameter schema (defaults + ranges; integer parameters reject fractional
 // values at parse time), and a build function that draws every random
 // choice from sub(seed, kind, index) substreams keyed by element identity.
@@ -24,55 +24,59 @@ import (
 // families up automatically via Families().
 var families = []family{
 	{
+		// grid of connected rooms with doorways and furniture clutter at controllable occlusion density
 		name: "office",
-		doc:  "grid of connected rooms with doorways and furniture clutter at controllable occlusion density",
 		params: []paramDef{
-			{name: "rooms", def: 2, min: 1, max: 4, integer: true,
-				doc: "rooms per axis (rooms² cells)"},
-			{name: "density", def: 0.5, min: 0, max: 1,
-				doc: "furniture clutter per room (0 = empty, 1 = crowded)"},
+			// rooms per axis (rooms² cells)
+			{name: "rooms", def: 2, min: 1, max: 4, integer: true},
+			// furniture clutter per room (0 = empty, 1 = crowded)
+			{name: "density", def: 0.5, min: 0, max: 1},
 		},
 		build: buildOffice,
 	},
 	{
+		// single hall under an nx×ny luminaire array with uniform collimation, plus floor occluders
 		name: "lights",
-		doc:  "single hall under an nx×ny luminaire array with uniform collimation, plus floor occluders",
 		params: []paramDef{
-			{name: "nx", def: 3, min: 1, max: 8, integer: true, doc: "light columns"},
-			{name: "ny", def: 2, min: 1, max: 8, integer: true, doc: "light rows"},
-			{name: "collimation", def: 1, min: sampler.SunScale, max: 1,
-				doc: "emission cone scale (1 diffuse, 0.005 solar)"},
+			// light columns
+			{name: "nx", def: 3, min: 1, max: 8, integer: true},
+			// light rows
+			{name: "ny", def: 2, min: 1, max: 8, integer: true},
+			// emission cone scale (1 diffuse, 0.005 solar)
+			{name: "collimation", def: 1, min: sampler.SunScale, max: 1},
 		},
 		build: buildLights,
 	},
 	{
+		// long mirror-heavy hall: facing mirror panels down both walls, ceiling lights, column occluders
 		name: "hall",
-		doc:  "long mirror-heavy hall: facing mirror panels down both walls, ceiling lights, column occluders",
 		params: []paramDef{
-			{name: "length", def: 16, min: 6, max: 40, doc: "hall length in metres"},
-			{name: "mirrors", def: 10, min: 2, max: 32, integer: true, doc: "mirror panels"},
+			// hall length in metres
+			{name: "length", def: 16, min: 6, max: 40},
+			// mirror panels
+			{name: "mirrors", def: 10, min: 2, max: 32, integer: true},
 		},
 		build: buildHall,
 	},
 	{
+		// degenerate layouts inside a shell: near-zero-area slivers, exactly coplanar stacks, octant-spanning sheets
 		name: "adversarial",
-		doc:  "degenerate layouts inside a shell: near-zero-area slivers, exactly coplanar stacks, octant-spanning sheets",
 		params: []paramDef{
-			{name: "slivers", def: 8, min: 0, max: 64, integer: true,
-				doc: "randomly oriented slivers with widths down to 1e-7 m"},
-			{name: "stacks", def: 6, min: 0, max: 64, integer: true,
-				doc: "stacks of four exactly coplanar overlapping quads"},
-			{name: "spans", def: 4, min: 0, max: 16, integer: true,
-				doc: "near-axis sheets through the octree root center, crossing all octants"},
+			// randomly oriented slivers with widths down to 1e-7 m
+			{name: "slivers", def: 8, min: 0, max: 64, integer: true},
+			// stacks of four exactly coplanar overlapping quads
+			{name: "stacks", def: 6, min: 0, max: 64, integer: true},
+			// near-axis sheets through the octree root center, crossing all octants
+			{name: "spans", def: 4, min: 0, max: 16, integer: true},
 		},
 		build: buildAdversarial,
 	},
 	{
+		// patch-count scaling family: an exact number of defining polygons as a jittered tile lattice
 		name: "grid",
-		doc:  "patch-count scaling family: an exact number of defining polygons as a jittered tile lattice",
 		params: []paramDef{
-			{name: "patches", def: 1000, min: 24, max: 120000, integer: true,
-				doc: "exact defining-polygon count (shell + light + tiles)"},
+			// exact defining-polygon count (shell + light + tiles)
+			{name: "patches", def: 1000, min: 24, max: 120000, integer: true},
 		},
 		build: buildGrid,
 	},

@@ -62,7 +62,6 @@ type paramDef struct {
 	def      float64
 	min, max float64
 	integer  bool
-	doc      string
 }
 
 // family couples a parameter schema with its geometry builder. Builders may
@@ -70,7 +69,6 @@ type paramDef struct {
 // randomness from sub(seed, kind, idx) substreams.
 type family struct {
 	name   string
-	doc    string
 	params []paramDef
 	build  func(seed int64, p map[string]float64, b *Builder)
 }
@@ -80,31 +78,6 @@ func Families() []string {
 	out := make([]string, len(families))
 	for i, f := range families {
 		out[i] = f.name
-	}
-	return out
-}
-
-// FamilyDoc returns the one-line description of a family ("" if unknown).
-func FamilyDoc(name string) string {
-	for _, f := range families {
-		if f.name == name {
-			return f.doc
-		}
-	}
-	return ""
-}
-
-// FamilyParams describes a family's parameters as "name=default [min..max]"
-// strings, for CLI help and documentation.
-func FamilyParams(name string) []string {
-	f, ok := familyByName(name)
-	if !ok {
-		return nil
-	}
-	out := make([]string, len(f.params))
-	for i, p := range f.params {
-		out[i] = fmt.Sprintf("%s=%s [%s..%s]", p.name,
-			formatParam(p.def), formatParam(p.min), formatParam(p.max))
 	}
 	return out
 }

@@ -260,10 +260,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry exposes the server's metric registry, e.g. for registering
-// process-level metrics alongside the server's own before serving.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // MetricsSnapshot returns the current counters by name, for in-process
 // callers that sum them across servers (the benchmark's farm). render_ms
 // is the render histogram's sum rounded to whole milliseconds.

@@ -25,7 +25,6 @@ package shared
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -58,11 +57,6 @@ type Config struct {
 	// span per merged chunk, and the per-worker photon counts in the
 	// "worker_photons" series. Spans wrap whole chunks, never photons.
 	Obs *obs.Run
-}
-
-// DefaultConfig uses all available CPUs.
-func DefaultConfig(photons int64) Config {
-	return Config{Core: core.DefaultConfig(photons), Workers: runtime.GOMAXPROCS(0)}
 }
 
 // chunkQueue deals out photon chunks: a worker that finishes early steals

@@ -20,8 +20,7 @@ func quickScene(t testing.TB) *scenes.Scene {
 
 func TestRunValidatesWorkers(t *testing.T) {
 	s := quickScene(t)
-	cfg := DefaultConfig(100)
-	cfg.Workers = 0
+	cfg := Config{Core: core.DefaultConfig(100), Workers: 0}
 	if _, err := Run(s, cfg); err == nil {
 		t.Fatal("zero workers accepted")
 	}

@@ -107,8 +107,3 @@ func Series(terms int, x0, w float64, samples int) (xs, ys []float64) {
 	}
 	return xs, ys
 }
-
-// MemoryPerSpike returns the bytes a directional-radiosity vertex needs for
-// the given term count (float64 coefficients) — the "excessive demand on
-// memory" point.
-func MemoryPerSpike(terms int) int { return terms * 8 }

@@ -107,12 +107,3 @@ func TestSpike(t *testing.T) {
 		t.Fatal("spike indicator wrong")
 	}
 }
-
-func TestMemoryPerSpike(t *testing.T) {
-	// "Requiring possibly hundreds of terms for each specular reflective
-	// spike is an excessive demand on memory": 30 terms = 240 bytes per
-	// vertex per spike, versus one histogram bin.
-	if MemoryPerSpike(30) != 240 {
-		t.Fatalf("MemoryPerSpike(30) = %d", MemoryPerSpike(30))
-	}
-}

@@ -180,32 +180,6 @@ func (c *Chart) String() string {
 	return b.String()
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // MinMax returns the extrema (0,0 for empty input).
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {

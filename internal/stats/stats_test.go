@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -83,19 +82,6 @@ func TestChartLinearScale(t *testing.T) {
 	c.Add(Series{Label: "s", X: []float64{0, 1, 2}, Y: []float64{0, 1, 4}})
 	if !strings.Contains(c.String(), "x (0 ..") {
 		t.Fatalf("linear axis label wrong:\n%s", c.String())
-	}
-}
-
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Errorf("mean = %v", m)
-	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty input should give 0")
 	}
 }
 

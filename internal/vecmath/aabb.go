@@ -26,11 +26,6 @@ func NewAABB(a, b Vec3) AABB {
 	}
 }
 
-// IsEmpty reports whether the box contains no points.
-func (b AABB) IsEmpty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
-}
-
 // Extend returns the smallest box containing b and the point p.
 func (b AABB) Extend(p Vec3) AABB {
 	return AABB{
@@ -72,16 +67,6 @@ func (b AABB) Size() Vec3 {
 	return b.Max.Sub(b.Min)
 }
 
-// SurfaceArea returns the total surface area of the box; used by spatial
-// index heuristics.
-func (b AABB) SurfaceArea() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	s := b.Size()
-	return 2 * (s.X*s.Y + s.Y*s.Z + s.Z*s.X)
-}
-
 // Pad returns the box grown by eps in every direction. Octree construction
 // pads boxes so patches exactly on cell boundaries are never lost to
 // round-off.
@@ -112,68 +97,4 @@ func (b AABB) Octant(i int) AABB {
 		o.Max.Z = c.Z
 	}
 	return o
-}
-
-// IntersectRay returns the parametric entry and exit distances of the ray
-// through the box using the slab method, and whether the intersection
-// interval overlaps [tMin, tMax]. Zero direction components are handled by
-// IEEE infinities.
-func (b AABB) IntersectRay(r Ray, tMin, tMax float64) (t0, t1 float64, hit bool) {
-	inv := Vec3{1 / r.Dir.X, 1 / r.Dir.Y, 1 / r.Dir.Z}
-	return b.IntersectRayInv(r.Origin, inv, tMin, tMax)
-}
-
-// IntersectRayInv is IntersectRay with the reciprocal direction hoisted out
-// of the call: traversal loops compute inv = (1/Dir.X, 1/Dir.Y, 1/Dir.Z)
-// once per ray and reuse it across every node's slab test, with the axis
-// loop unrolled. The near/far selection stays the value compare-and-swap of
-// the textbook slab test rather than picking slabs from the reciprocal's
-// sign: the two differ when a ray starts exactly on a slab plane with a
-// negative-zero direction component (0·−∞ = NaN lands on a different
-// comparison), and the arithmetic here must stay bit-equal to what the
-// pre-flattening octree computed — traversal decisions, and therefore
-// forests and renders, are compared bit-exactly across refactors.
-func (b AABB) IntersectRayInv(origin, inv Vec3, tMin, tMax float64) (t0, t1 float64, hit bool) {
-	t0, t1 = tMin, tMax
-
-	near := (b.Min.X - origin.X) * inv.X
-	far := (b.Max.X - origin.X) * inv.X
-	if near > far {
-		near, far = far, near
-	}
-	if near > t0 {
-		t0 = near
-	}
-	if far < t1 {
-		t1 = far
-	}
-
-	near = (b.Min.Y - origin.Y) * inv.Y
-	far = (b.Max.Y - origin.Y) * inv.Y
-	if near > far {
-		near, far = far, near
-	}
-	if near > t0 {
-		t0 = near
-	}
-	if far < t1 {
-		t1 = far
-	}
-
-	near = (b.Min.Z - origin.Z) * inv.Z
-	far = (b.Max.Z - origin.Z) * inv.Z
-	if near > far {
-		near, far = far, near
-	}
-	if near > t0 {
-		t0 = near
-	}
-	if far < t1 {
-		t1 = far
-	}
-
-	if t0 > t1 {
-		return 0, 0, false
-	}
-	return t0, t1, true
 }

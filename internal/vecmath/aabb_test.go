@@ -8,14 +8,8 @@ import (
 
 func TestEmptyAABB(t *testing.T) {
 	e := EmptyAABB()
-	if !e.IsEmpty() {
-		t.Fatal("EmptyAABB not empty")
-	}
 	if e.Contains(V(0, 0, 0)) {
 		t.Fatal("empty box contains a point")
-	}
-	if e.SurfaceArea() != 0 {
-		t.Fatalf("empty box surface area = %v", e.SurfaceArea())
 	}
 }
 
@@ -89,14 +83,6 @@ func TestCenterSize(t *testing.T) {
 	}
 }
 
-func TestSurfaceArea(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 2, 3))
-	// 2*(1*2 + 2*3 + 3*1) = 22
-	if got := b.SurfaceArea(); math.Abs(got-22) > eps {
-		t.Fatalf("SurfaceArea = %v, want 22", got)
-	}
-}
-
 func TestPad(t *testing.T) {
 	b := NewAABB(V(0, 0, 0), V(1, 1, 1)).Pad(0.5)
 	if b.Min != V(-0.5, -0.5, -0.5) || b.Max != V(1.5, 1.5, 1.5) {
@@ -125,101 +111,5 @@ func TestOctantsPartition(t *testing.T) {
 	}
 	if !b.Octant(1).Contains(V(2, 0, 0)) {
 		t.Error("octant 1 should contain the +X corner")
-	}
-}
-
-func TestIntersectRayHit(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1))
-	r := Ray{Origin: V(-1, 0.5, 0.5), Dir: V(1, 0, 0)}
-	t0, t1, hit := b.IntersectRay(r, 0, math.Inf(1))
-	if !hit {
-		t.Fatal("expected hit")
-	}
-	if math.Abs(t0-1) > eps || math.Abs(t1-2) > eps {
-		t.Fatalf("t0,t1 = %v,%v; want 1,2", t0, t1)
-	}
-}
-
-func TestIntersectRayMiss(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1))
-	r := Ray{Origin: V(-1, 2, 0.5), Dir: V(1, 0, 0)}
-	if _, _, hit := b.IntersectRay(r, 0, math.Inf(1)); hit {
-		t.Fatal("expected miss")
-	}
-}
-
-func TestIntersectRayFromInside(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1))
-	r := Ray{Origin: V(0.5, 0.5, 0.5), Dir: V(0, 0, 1)}
-	t0, t1, hit := b.IntersectRay(r, 0, math.Inf(1))
-	if !hit {
-		t.Fatal("expected hit from inside")
-	}
-	if t0 != 0 || math.Abs(t1-0.5) > eps {
-		t.Fatalf("t0,t1 = %v,%v; want 0,0.5", t0, t1)
-	}
-}
-
-func TestIntersectRayAxisParallel(t *testing.T) {
-	// Ray parallel to a slab, inside it: must hit; outside it: must miss.
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1))
-	inside := Ray{Origin: V(0.5, 0.5, -1), Dir: V(0, 0, 1)}
-	if _, _, hit := b.IntersectRay(inside, 0, math.Inf(1)); !hit {
-		t.Error("axis-parallel ray inside slab should hit")
-	}
-	outside := Ray{Origin: V(2, 0.5, -1), Dir: V(0, 0, 1)}
-	if _, _, hit := b.IntersectRay(outside, 0, math.Inf(1)); hit {
-		t.Error("axis-parallel ray outside slab should miss")
-	}
-}
-
-func TestIntersectRayRespectsTBounds(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1))
-	r := Ray{Origin: V(-1, 0.5, 0.5), Dir: V(1, 0, 0)}
-	// Box lies in t [1,2]; restricting to [0, 0.5] must miss.
-	if _, _, hit := b.IntersectRay(r, 0, 0.5); hit {
-		t.Fatal("expected miss with tight tMax")
-	}
-	// Restricting to [3, inf) must also miss (box is behind the interval).
-	if _, _, hit := b.IntersectRay(r, 3, math.Inf(1)); hit {
-		t.Fatal("expected miss with large tMin")
-	}
-}
-
-// TestIntersectRayInvMatchesIntersectRay pins the hoisting contract: for
-// any ray, IntersectRayInv with a precomputed reciprocal direction returns
-// exactly what IntersectRay returns — including negative directions (the
-// sign-selected near/far slabs), axis-parallel rays (IEEE infinities), and
-// negative-zero components (whose reciprocal is -Inf, selecting the Max
-// slab).
-func TestIntersectRayInvMatchesIntersectRay(t *testing.T) {
-	b := NewAABB(V(-1, 0, 2), V(3, 5, 4))
-	rays := []Ray{
-		{Origin: V(-5, 2, 3), Dir: V(1, 0, 0)},
-		{Origin: V(5, 2, 3), Dir: V(-1, 0, 0)},
-		{Origin: V(0, 2, 3), Dir: V(0.5, 0.5, -0.7)},
-		{Origin: V(0, 2, 10), Dir: V(0, 0, -1)},
-		{Origin: V(0, 2, 3), Dir: V(0, -0.0, 1)},
-		{Origin: V(-1, 0, 2), Dir: V(1, 1, 1)},   // origin on the min corner
-		{Origin: V(10, 10, 10), Dir: V(0, 1, 0)}, // parallel, outside every slab
-	}
-	// A deterministic spread of oblique rays.
-	for i := 0; i < 64; i++ {
-		fi := float64(i)
-		rays = append(rays, Ray{
-			Origin: V(math.Sin(fi)*6, math.Cos(fi*1.3)*6, 3+math.Sin(fi*0.7)*6),
-			Dir:    V(math.Cos(fi*2.1), math.Sin(fi*1.7), math.Cos(fi*0.9)).Norm(),
-		})
-	}
-	for i, r := range rays {
-		inv := V(1/r.Dir.X, 1/r.Dir.Y, 1/r.Dir.Z)
-		for _, lim := range [][2]float64{{0, math.Inf(1)}, {0, 1}, {2, 8}} {
-			t0a, t1a, hitA := b.IntersectRay(r, lim[0], lim[1])
-			t0b, t1b, hitB := b.IntersectRayInv(r.Origin, inv, lim[0], lim[1])
-			if t0a != t0b || t1a != t1b || hitA != hitB {
-				t.Fatalf("ray %d lim %v: IntersectRay=(%v,%v,%v) IntersectRayInv=(%v,%v,%v)",
-					i, lim, t0a, t1a, hitA, t0b, t1b, hitB)
-			}
-		}
 	}
 }

@@ -69,15 +69,6 @@ func (v Vec3) Norm() Vec3 {
 	return v.Scale(1 / math.Sqrt(l2))
 }
 
-// Lerp linearly interpolates between v (t=0) and w (t=1).
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{
-		v.X + (w.X-v.X)*t,
-		v.Y + (w.Y-v.Y)*t,
-		v.Z + (w.Z-v.Z)*t,
-	}
-}
-
 // Reflect returns the mirror reflection of the *incident* direction v about
 // the unit normal n. v points toward the surface; the result points away.
 func (v Vec3) Reflect(n Vec3) Vec3 {
@@ -87,11 +78,6 @@ func (v Vec3) Reflect(n Vec3) Vec3 {
 // MaxComponent returns the largest of the three components.
 func (v Vec3) MaxComponent() float64 {
 	return math.Max(v.X, math.Max(v.Y, v.Z))
-}
-
-// MinComponent returns the smallest of the three components.
-func (v Vec3) MinComponent() float64 {
-	return math.Min(v.X, math.Min(v.Y, v.Z))
 }
 
 // Luminance returns the photometric luminance of an RGB triple using the

@@ -96,20 +96,6 @@ func TestScaleMul(t *testing.T) {
 	}
 }
 
-func TestLerpEndpoints(t *testing.T) {
-	a, b := V(1, 2, 3), V(-4, 0, 9)
-	if !a.Lerp(b, 0).NearEqual(a, eps) {
-		t.Error("Lerp(0) != a")
-	}
-	if !a.Lerp(b, 1).NearEqual(b, eps) {
-		t.Error("Lerp(1) != b")
-	}
-	mid := a.Lerp(b, 0.5)
-	if !mid.NearEqual(a.Add(b).Scale(0.5), eps) {
-		t.Errorf("Lerp(0.5) = %v", mid)
-	}
-}
-
 func TestReflectPreservesLength(t *testing.T) {
 	f := func(dx, dy, dz float64) bool {
 		d := tameV(dx, dy, dz)
@@ -158,9 +144,6 @@ func TestMinMaxComponent(t *testing.T) {
 	v := V(3, -1, 2)
 	if v.MaxComponent() != 3 {
 		t.Errorf("MaxComponent = %v", v.MaxComponent())
-	}
-	if v.MinComponent() != -1 {
-		t.Errorf("MinComponent = %v", v.MinComponent())
 	}
 }
 
