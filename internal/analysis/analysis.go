@@ -6,10 +6,10 @@
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic — but is built on the standard library only
 // (go/ast, go/types, go/importer), because this module carries no external
-// dependencies. Analyzers run either under `go vet
-// -vettool=$(which photon-lint)` (see the unitchecker protocol in unit.go)
-// or in-process against testdata packages (see the loader and the
-// analysistest subpackage).
+// dependencies. Analyzers run in process over packages type-checked from
+// source by the Loader: testdata packages through the analysistest
+// subpackage, and every package of the module through TestLintCleanOnRepo
+// (`go test ./internal/analysis/`).
 //
 // Source directives recognized across the suite:
 //
@@ -47,7 +47,6 @@ type Diagnostic struct {
 // through it.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 
@@ -59,8 +58,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Report receives each finding. The driver routes it to stderr (vet
-	// mode) or to the expectation matcher (analysistest mode).
+	// Report receives each finding. Analyze collects them for the
+	// expectation matcher (analysistest) or the module lint.
 	Report func(Diagnostic)
 }
 
@@ -112,13 +111,6 @@ func suppressed(fset *token.FileSet, f *ast.File, n ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// isTestFile reports whether the file's basename ends in _test.go. Tests
-// exercise internals single-threaded and deliberately speak protocols
-// wrong; the suite checks production paths.
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
 }
 
 // walkStack walks root in source order calling fn with each node and the

@@ -24,13 +24,12 @@ import (
 // Reviewed constructs are suppressed with //photon:orderinvariant.
 var FloatReduce = &Analyzer{
 	Name: "floatreduce",
-	Doc:  "flag schedule- or map-order-dependent floating-point accumulation and math.FMA in //photon:deterministic files",
 	Run:  runFloatReduce,
 }
 
 func runFloatReduce(pass *Pass) error {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) || !fileHasDirective(f, DirDeterministic) {
+		if !fileHasDirective(f, DirDeterministic) {
 			continue
 		}
 		walkStack(f, func(n ast.Node, stack []ast.Node) {

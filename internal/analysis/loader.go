@@ -1,10 +1,11 @@
 package analysis
 
-// An in-process package loader for the analysistest harness: it
-// type-checks testdata packages (and the real repo packages they import)
-// straight from source, with the standard library supplied by go/importer's
-// source importer. No go/packages, no build cache — just enough of a
-// loader to run analyzers against small trees with full type information.
+// The in-process package loader behind every analyzer run: the
+// analysistest harness loads testdata packages through it, and the module
+// lint (TestLintCleanOnRepo) loads every package of the module. It
+// type-checks straight from source, with the standard library supplied by
+// go/importer's source importer. No go/packages, no build cache — just
+// enough of a loader to run analyzers with full type information.
 
 import (
 	"fmt"
@@ -32,7 +33,9 @@ type LoadedPackage struct {
 // A Loader resolves and type-checks packages by import path from three
 // sources: the testdata/src tree (bare import paths), the enclosing repo
 // (module-qualified "repro/..." paths), and the standard library
-// (everything else, via the source importer).
+// (everything else, via the source importer). It never reads _test.go
+// files: tests exercise internals single-threaded and deliberately break
+// the contracts, and the suite checks production paths.
 type Loader struct {
 	Fset        *token.FileSet
 	TestdataSrc string // testdata/src directory holding bare-path packages
@@ -68,15 +71,23 @@ func (l *Loader) dirFor(path string) string {
 	return ""
 }
 
-// Load type-checks the package at the given import path (cached).
-func (l *Loader) Load(path string) (*LoadedPackage, error) {
+// Load type-checks the package at the given import path (cached). A failed
+// load is not cached, so asking again reports the same error.
+func (l *Loader) Load(path string) (lp *LoadedPackage, err error) {
 	if lp, ok := l.pkgs[path]; ok {
 		if lp == nil {
 			return nil, fmt.Errorf("import cycle through %q", path)
 		}
 		return lp, nil
 	}
-	l.pkgs[path] = nil // cycle guard
+	l.pkgs[path] = nil // cycle guard until the load settles
+	defer func() {
+		if err != nil {
+			delete(l.pkgs, path)
+		} else {
+			l.pkgs[path] = lp
+		}
+	}()
 
 	dir := l.dirFor(path)
 	if dir == "" {
@@ -84,9 +95,7 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stdlib %q: %v", path, err)
 		}
-		lp := &LoadedPackage{Path: path, Fset: l.Fset, Pkg: pkg}
-		l.pkgs[path] = lp
-		return lp, nil
+		return &LoadedPackage{Path: path, Fset: l.Fset, Pkg: pkg}, nil
 	}
 
 	entries, err := os.ReadDir(dir)
@@ -138,10 +147,12 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typechecking %s: %v", path, err)
 	}
-	lp := &LoadedPackage{Path: path, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}
-	l.pkgs[path] = lp
-	return lp, nil
+	return &LoadedPackage{Path: path, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // Analyze runs one analyzer over a loaded package and returns its
 // diagnostics.

@@ -25,13 +25,12 @@ import (
 // its line or the line above.
 var Nondeterm = &Analyzer{
 	Name: "nondeterm",
-	Doc:  "forbid wall clocks, math/rand, and order-leaking map iteration in //photon:deterministic files",
 	Run:  runNondeterm,
 }
 
 func runNondeterm(pass *Pass) error {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) || !fileHasDirective(f, DirDeterministic) {
+		if !fileHasDirective(f, DirDeterministic) {
 			continue
 		}
 		checkRandImports(pass, f)

@@ -28,7 +28,6 @@ const obsPkgPath = "repro/internal/obs"
 // //photon:orderinvariant.
 var ObsGate = &Analyzer{
 	Name: "obsgate",
-	Doc:  "require Enabled()/nil gating around obs.Run name allocations and clock reads",
 	Run:  runObsGate,
 }
 
@@ -37,7 +36,7 @@ func runObsGate(pass *Pass) error {
 		return nil // the obs package owns the clocks it gates internally
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) || !importsPath(f, obsPkgPath) {
+		if !importsPath(f, obsPkgPath) {
 			continue
 		}
 		for _, decl := range f.Decls {

@@ -4,14 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 // reachAllowlist names the non-test functions that no root reaches but
@@ -19,14 +17,15 @@ import (
 // test of live behaviour calls, or photon-lint's own test harness. Keys
 // are "<package dir>.<func>" or "<package dir>.<Recv>.<method>".
 var reachAllowlist = map[string]string{
-	"internal/analysis.Analyze":                        "lint harness: analysistest runs an analyzer through it",
-	"internal/analysis.Loader.Load":                    "lint harness: type-checks testdata and repo packages",
+	"internal/analysis.All":                            "lint harness: TestLintCleanOnRepo runs the suite it returns",
+	"internal/analysis.Analyze":                        "lint harness: analysistest and the module lint run an analyzer through it",
+	"internal/analysis.Loader.Load":                    "lint harness: type-checks testdata packages and, for the module lint, every repo package",
 	"internal/analysis.Loader.dirFor":                  "lint harness: Load's import-path resolver",
-	"internal/analysis.NewLoader":                      "lint harness: builds analysistest's shared loader",
+	"internal/analysis.NewLoader":                      "lint harness: builds the shared loader behind analysistest and the module lint",
 	"internal/analysis/analysistest.Run":               "lint harness: runs an analyzer against testdata",
 	"internal/analysis/analysistest.checkExpectations": "lint harness: matches diagnostics to want comments",
 	"internal/analysis/analysistest.isWantBoundary":    "lint harness: want-comment parser",
-	"internal/analysis/analysistest.Loader":            "lint harness: the analyzer tests' and this test's shared loader",
+	"internal/analysis/analysistest.Loader":            "lint harness: the loader the analyzer tests, the module lint and this test share",
 	"internal/analysis/analysistest.parseWants":        "lint harness: want-comment parser",
 	"internal/analysis/analysistest.quotedPrefix":      "lint harness: want-comment parser",
 	"internal/bintree.Forest.Cells":                    "accessor: shared and bintree tests check the sectioning",
@@ -65,26 +64,10 @@ var reachAllowlist = map[string]string{
 // that interface may land on it. An allowlist entry that no longer
 // exists, or that has become reachable, fails the test too.
 func TestEveryFunctionReachable(t *testing.T) {
-	repoRoot, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	list := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Name}}", "./...")
-	list.Dir = repoRoot
-	out, err := list.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-
-	ldr := analysistest.Loader(t)
+	ldr, pkgs := loadModule(t)
 	g := newCallGraph()
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		path, name, _ := strings.Cut(line, " ")
-		lp, err := ldr.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.add(lp, name == "main", path == "repro")
+	for _, p := range pkgs {
+		g.add(p.LoadedPackage, p.name == "main", p.Path == "repro")
 	}
 	reached := g.reach()
 
@@ -101,7 +84,7 @@ func TestEveryFunctionReachable(t *testing.T) {
 			continue
 		}
 		pos := ldr.Fset.Position(d.Pos())
-		rel, _ := filepath.Rel(repoRoot, pos.Filename)
+		rel, _ := filepath.Rel(ldr.RepoRoot, pos.Filename)
 		dead = append(dead, key+" ("+rel+")")
 	}
 	sort.Strings(dead)
