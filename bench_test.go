@@ -326,22 +326,24 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkAblationLockStriping measures the shared engine with 1 worker
-// (lock overhead only) against the lock-free serial engine: the price of
-// the multiple-reader / single-writer protocol.
-func BenchmarkAblationLockStriping(b *testing.B) {
+// BenchmarkAblationMergeBaton measures the shared engine with 1 worker
+// against the serial engine. One worker has no concurrency to exploit, so
+// the difference is the price of the merge-baton protocol alone: the chunk
+// queue, the per-chunk tally buffers and the in-order merge into the
+// forest.
+func BenchmarkAblationMergeBaton(b *testing.B) {
 	sc, err := scenes.Quickstart()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("serial-no-locks", func(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Run(sc, core.DefaultConfig(20000)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("shared-1worker-buffered", func(b *testing.B) {
+	b.Run("shared-1worker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := shared.Run(sc, shared.Config{Core: core.DefaultConfig(20000), Workers: 1}); err != nil {
 				b.Fatal(err)

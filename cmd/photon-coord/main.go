@@ -56,8 +56,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		engine    = flag.String("engine", "replicated", "engine: replicated, geo")
 		ranks     = flag.Int("ranks", 2, "total ranks, this coordinator included")
-		batch     = flag.Int("batch", 0, "photons per exchange round (0 = engine default)")
-		sections  = flag.Int("sections", 0, "per-axis forest sections (replicated; 0 = engine default)")
+		batch     = flag.Int("batch", 0, "photons per exchange round (0 = engine default: 500 replicated, 2000 geo)")
+		sections  = flag.Int("sections", 0, "per-axis forest sections (0 = engine default: 4 replicated, 1 geo; geo refuses more)")
 		ckptEvery = flag.Int("checkpoint-every", 4, "checkpoint every N rounds (replicated; 0 disables)")
 		ckptPath  = flag.String("checkpoint", "", "persist checkpoints to this file")
 		resume    = flag.String("resume", "", "resume the job from this checkpoint file")

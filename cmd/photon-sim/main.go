@@ -40,7 +40,7 @@ func main() {
 		photons     = flag.Int64("photons", 200000, "photons to emit")
 		engineName  = flag.String("engine", "serial", "engine: serial, shared, distributed, geo")
 		workers     = flag.Int("workers", 4, "workers (shared) or ranks (distributed, geo)")
-		batch       = flag.Int("batch", 0, "photons per batch: wavefront width (serial, shared) or per exchange round (distributed, geo); 0 = engine default")
+		batch       = flag.Int("batch", 0, "photons per exchange round (distributed, geo; serial and shared ignore it); 0 = the engine's default, 500 (distributed) or 2000 (geo), applied by internal/dist")
 		seed        = flag.Int64("seed", 1, "random seed")
 		quiet       = flag.Bool("q", false, "suppress the progress line")
 		out         = flag.String("o", "answer.pbf", "output answer file")

@@ -32,16 +32,17 @@ func main() {
 	//    view-independent radiance database. The progress callback streams
 	//    completion while the engine runs.
 	lastPct := int64(-1)
-	sol, err := photon.SimulateProgress(scene, photon.Config{
+	sol, err := photon.Simulate(scene, photon.Config{
 		Photons: *photons,
 		Seed:    *seed,
 		Engine:  photon.EngineShared,
 		Workers: 4,
-	}, func(done, total int64) {
-		if pct := done * 100 / total; pct >= lastPct+10 {
-			lastPct = pct
-			fmt.Printf("  traced %3d%% (%d/%d photons)\n", pct, done, total)
-		}
+		Progress: func(done, total int64) {
+			if pct := done * 100 / total; pct >= lastPct+10 {
+				lastPct = pct
+				fmt.Printf("  traced %3d%% (%d/%d photons)\n", pct, done, total)
+			}
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

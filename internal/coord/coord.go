@@ -90,13 +90,8 @@ func RunCoordinator(ln net.Listener, job JobSpec, opt CoordOptions) (*dist.Resul
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := job.distConfig()
-	if err != nil {
-		return nil, err
-	}
-
 	c := &coordinator{
-		job: job, opt: opt, scene: scene, cfg: cfg, logf: logf,
+		job: job, opt: opt, scene: scene, cfg: job.distConfig(), logf: logf,
 		events:   make(chan event, 128),
 		ready:    make(map[*worker]string),
 		assigned: make(map[*worker]int),

@@ -45,11 +45,7 @@ func TestJobMatchesInProcessRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := quickJob(3).distConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := dist.Run(sc, cfg)
+	want, err := dist.Run(sc, quickJob(3).distConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +77,7 @@ func TestGeoJobMatchesInProcessRun(t *testing.T) {
 	}
 	job := quickJob(2)
 	job.Engine = "geo"
-	cfg, err := job.distConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := dist.GeoRun(sc, cfg)
+	want, err := dist.GeoRun(sc, job.distConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +157,23 @@ func TestJobSpecValidation(t *testing.T) {
 	ok := quickJob(2)
 	if err := ok.validate(); err != nil {
 		t.Errorf("valid job rejected: %v", err)
+	}
+}
+
+// TestJobSpecRejectsNegativeKnobs: only zero means "engine default". A
+// negative BatchSize or Sections fails validation, which RunCoordinator
+// applies before any worker joins, for either engine.
+func TestJobSpecRejectsNegativeKnobs(t *testing.T) {
+	for _, engine := range []string{"replicated", "geo"} {
+		batch := quickJob(2)
+		batch.Engine, batch.BatchSize = engine, -5
+		if err := batch.validate(); err == nil {
+			t.Errorf("%s: BatchSize -5 validated", engine)
+		}
+		sections := quickJob(2)
+		sections.Engine, sections.Sections = engine, -1
+		if err := sections.validate(); err == nil {
+			t.Errorf("%s: Sections -1 validated", engine)
+		}
 	}
 }

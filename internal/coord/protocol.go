@@ -31,6 +31,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/mpi"
 )
@@ -103,7 +104,9 @@ type JobSpec struct {
 	Seed    int64
 	// Ranks is the world size, coordinator included.
 	Ranks int
-	// BatchSize and Sections override engine defaults when > 0.
+	// BatchSize is the photons per exchange round and Sections the
+	// per-axis forest sections; 0 takes the engine's default (dist
+	// applies it), and a negative value is refused.
 	BatchSize int
 	Sections  int
 	// CheckpointEvery gathers a recovery snapshot to the coordinator
@@ -112,41 +115,34 @@ type JobSpec struct {
 }
 
 // distConfig derives the engine configuration every rank must agree on.
-func (j JobSpec) distConfig() (dist.Config, error) {
-	var cfg dist.Config
-	switch j.Engine {
-	case "", "replicated":
-		cfg = dist.DefaultConfig(j.Photons, j.Ranks)
-	case "geo":
-		cfg = dist.DefaultGeoConfig(j.Photons, j.Ranks)
-		if j.CheckpointEvery > 0 {
-			return cfg, fmt.Errorf("coord: the geo engine does not support checkpointing")
-		}
-	default:
-		return cfg, fmt.Errorf("coord: unknown engine %q", j.Engine)
+// Zero BatchSize and Sections pass through as zero, so the engine's
+// planner fills in its own defaults, as it does for dist.DefaultConfig.
+func (j JobSpec) distConfig() dist.Config {
+	return dist.Config{
+		Core:      core.Config{Photons: j.Photons, Seed: j.Seed, Sections: j.Sections},
+		Ranks:     j.Ranks,
+		BatchSize: j.BatchSize,
 	}
-	cfg.Core.Seed = j.Seed
-	if j.BatchSize > 0 {
-		cfg.BatchSize = j.BatchSize
-	}
-	if j.Sections > 0 {
-		cfg.Sections = j.Sections
-	}
-	return cfg, nil
 }
 
 func (j JobSpec) validate() error {
-	if j.Scene == "" {
+	switch {
+	case j.Scene == "":
 		return fmt.Errorf("coord: job has no scene")
-	}
-	if j.Photons <= 0 {
+	case j.Photons <= 0:
 		return fmt.Errorf("coord: job wants %d photons", j.Photons)
-	}
-	if j.Ranks < 2 {
+	case j.Ranks < 2:
 		return fmt.Errorf("coord: a multi-process job needs at least 2 ranks, got %d", j.Ranks)
+	case j.BatchSize < 0:
+		return fmt.Errorf("coord: BatchSize must be >= 0 (0 = engine default), got %d", j.BatchSize)
+	case j.Sections < 0:
+		return fmt.Errorf("coord: Sections must be >= 0 (0 = engine default), got %d", j.Sections)
+	case j.Engine != "" && j.Engine != "replicated" && j.Engine != "geo":
+		return fmt.Errorf("coord: unknown engine %q", j.Engine)
+	case j.Engine == "geo" && j.CheckpointEvery > 0:
+		return fmt.Errorf("coord: the geo engine does not support checkpointing")
 	}
-	_, err := j.distConfig()
-	return err
+	return nil
 }
 
 // heartbeatInterval is how often a worker proves liveness. The

@@ -146,12 +146,11 @@ func RunWorker(addr string, opt WorkerOptions) error {
 // owned by the returned TCPComm, which the caller closes once the
 // coordinator confirms the whole attempt has wound down (see RunWorker).
 func runAssignment(m ctrlMsg, ln net.Listener, failAfter int) (*mpi.TCPComm, error) {
-	scene, err := loadScene(m.Job.Scene)
-	if err != nil {
+	if err := m.Job.validate(); err != nil {
 		ln.Close()
 		return nil, err
 	}
-	cfg, err := m.Job.distConfig()
+	scene, err := loadScene(m.Job.Scene)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -177,7 +176,7 @@ func runAssignment(m ctrlMsg, ln net.Listener, failAfter int) (*mpi.TCPComm, err
 			}
 		}
 	}
-	_, err = m.Job.runRank(comm, scene, cfg, opts)
+	_, err = m.Job.runRank(comm, scene, m.Job.distConfig(), opts)
 	return comm, err
 }
 

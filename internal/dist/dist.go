@@ -80,26 +80,24 @@ const (
 )
 
 // Config parameterizes a distributed simulation. The zero value of Balance
-// is BalanceBinPack, so only deviations need setting.
+// is BalanceBinPack, so only deviations need setting. A zero BatchSize or
+// Core.Sections takes the engine's default, which Run and GeoRun each fill
+// in once, when they plan (planReplicated, planGeo).
 type Config struct {
 	// Core carries the physics parameters (photons, seed, split rule).
+	// Core.Sections is the per-axis section count per defining polygon;
+	// the ownership unit is one section tree, so 4 gives 16 units per
+	// polygon for the packer to spread. 0 means 4 for Run and 1 for
+	// GeoRun, which owns whole polygons by region and refuses more.
 	Core core.Config
 	// Ranks is the number of message-passing workers.
 	Ranks int
-	// BatchSize is the photons each rank traces between tally exchanges
-	// (Run) or the emissions per drain round (GeoRun). The paper starts
-	// at 500.
+	// BatchSize is the photons traced between tally exchanges (Run) or
+	// the emissions per drain round (GeoRun). 0 means 500 for Run, the
+	// paper's starting size, and 2000 for GeoRun.
 	BatchSize int
 	// Balance selects the forest-ownership strategy (Run only).
 	Balance Balance
-	// Sections is the per-axis section count per defining polygon; the
-	// ownership unit is one section tree, so cells=4 gives 16 units per
-	// polygon for the packer to spread (Run only; GeoRun owns whole
-	// polygons by region and refuses Sections > 1). Precedence: an
-	// explicit Sections wins; when 0, Core.Sections > 1 is adopted;
-	// otherwise 1. normalize syncs Core.Sections to the winner so the two
-	// views never diverge.
-	Sections int
 	// Progress, when non-nil, receives the photons globally finished so
 	// far and the total. Rank 0 reports it once per exchange round.
 	Progress func(done, total int64)
@@ -114,26 +112,11 @@ type Config struct {
 	Obs *obs.Run
 }
 
-// DefaultConfig returns the replicated-geometry engine defaults: the
-// paper's initial 500-photon batches and 4×4 sections per polygon.
+// DefaultConfig returns a configuration at the default physics for
+// photons on ranks; BatchSize and Core.Sections stay zero, so each engine
+// applies its own defaults.
 func DefaultConfig(photons int64, ranks int) Config {
-	return Config{
-		Core:      core.DefaultConfig(photons),
-		Ranks:     ranks,
-		BatchSize: 500,
-		Balance:   BalanceBinPack,
-		Sections:  4,
-	}
-}
-
-// DefaultGeoConfig returns the geometry-distributed engine defaults. The
-// forest is unsectioned (polygons are owned whole, by the region of their
-// centroid) and batches are emission rounds, not exchange intervals.
-func DefaultGeoConfig(photons int64, ranks int) Config {
-	cfg := DefaultConfig(photons, ranks)
-	cfg.Sections = 1
-	cfg.BatchSize = 2000
-	return cfg
+	return Config{Core: core.DefaultConfig(photons), Ranks: ranks}
 }
 
 // defaultPrePhase is the redundant pre-phase sample size Run uses to
@@ -150,7 +133,10 @@ func defaultPrePhase(photons int64) int64 {
 	return p
 }
 
-func (c *Config) normalize() error {
+// normalize rejects what no engine can run and fills a zero BatchSize and
+// Core.Sections with the calling engine's defaults. A negative value is an
+// error, never a default.
+func (c *Config) normalize(batch, sections int) error {
 	if c.Core.Photons <= 0 {
 		return fmt.Errorf("dist: Core.Photons must be positive, got %d", c.Core.Photons)
 	}
@@ -160,18 +146,18 @@ func (c *Config) normalize() error {
 	if c.Balance != BalanceBinPack && c.Balance != BalanceNaive {
 		return fmt.Errorf("dist: unknown balance strategy %d", c.Balance)
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 500
+	if c.BatchSize < 0 {
+		return fmt.Errorf("dist: BatchSize must be >= 0 (0 = engine default), got %d", c.BatchSize)
 	}
-	if c.Sections <= 0 {
-		if c.Core.Sections > 1 {
-			c.Sections = c.Core.Sections
-		} else {
-			c.Sections = 1
-		}
+	if c.Core.Sections < 0 {
+		return fmt.Errorf("dist: Core.Sections must be >= 0 (0 = engine default), got %d", c.Core.Sections)
 	}
-	// Keep the core view coherent: the forest shape is dist's Sections.
-	c.Core.Sections = c.Sections
+	if c.BatchSize == 0 {
+		c.BatchSize = batch
+	}
+	if c.Core.Sections == 0 {
+		c.Core.Sections = sections
+	}
 	return nil
 }
 

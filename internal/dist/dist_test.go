@@ -198,10 +198,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// Geo owns whole polygons: a sectioning request is refused, not
 	// silently run unsectioned.
-	geo := DefaultGeoConfig(4000, 2)
-	geo.Sections = 4
+	geo := DefaultConfig(4000, 2)
+	geo.Core.Sections = 4
 	if _, err := GeoRun(sc, geo); err == nil {
 		t.Error("sectioned forest accepted by GeoRun")
+	}
+}
+
+// TestNegativeKnobsRejected: only zero means "engine default". A negative
+// BatchSize or Core.Sections is an error from both engines, never a silent
+// run at the default.
+func TestNegativeKnobsRejected(t *testing.T) {
+	sc, err := scenes.Quickstart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []struct {
+		name string
+		run  func(*scenes.Scene, Config) (*Result, error)
+	}{{"Run", Run}, {"GeoRun", GeoRun}} {
+		name, run := e.name, e.run
+		batch := DefaultConfig(1000, 2)
+		batch.BatchSize = -5
+		if _, err := run(sc, batch); err == nil {
+			t.Errorf("%s accepted BatchSize -5", name)
+		}
+		sections := DefaultConfig(1000, 2)
+		sections.Core.Sections = -1
+		if _, err := run(sc, sections); err == nil {
+			t.Errorf("%s accepted Core.Sections -1", name)
+		}
 	}
 }
 

@@ -51,15 +51,16 @@ type geoPlan struct {
 }
 
 // planGeo normalizes cfg and computes the geo engine's deterministic plan.
+// Its defaults are 2000-photon emission rounds and an unsectioned forest.
 // Geo owns whole polygons by region — space ownership, not forest
 // ownership, is its distribution axis — so it refuses a sectioned forest
 // rather than silently running unsectioned.
 func planGeo(scene *scenes.Scene, cfg Config) (*geoPlan, error) {
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.normalize(2000, 1); err != nil {
 		return nil, err
 	}
-	if cfg.Sections > 1 {
-		return nil, fmt.Errorf("dist: geo does not support sectioned forests (Sections=%d)", cfg.Sections)
+	if cfg.Core.Sections > 1 {
+		return nil, fmt.Errorf("dist: geo does not support sectioned forests (Sections=%d)", cfg.Core.Sections)
 	}
 	sim, err := core.NewSimulator(scene, cfg.Core)
 	if err != nil {

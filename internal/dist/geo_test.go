@@ -18,7 +18,7 @@ func TestGeoRunParityWithSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GeoRun(sc, DefaultGeoConfig(photons, 8))
+	res, err := GeoRun(sc, DefaultConfig(photons, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGeoRunForwardsFlights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GeoRun(sc, DefaultGeoConfig(20000, 8))
+	res, err := GeoRun(sc, DefaultConfig(20000, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGeoRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultGeoConfig(15000, 4)
+	cfg := DefaultConfig(15000, 4)
 	a, err := GeoRun(sc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestGeoRunSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GeoRun(sc, DefaultGeoConfig(8000, 1))
+	res, err := GeoRun(sc, DefaultConfig(8000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

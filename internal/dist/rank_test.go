@@ -63,12 +63,12 @@ func TestGeoRunRankMatchesGeoRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	const photons = 20000
-	want, err := GeoRun(sc, DefaultGeoConfig(photons, 3))
+	want, err := GeoRun(sc, DefaultConfig(photons, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := inProcess(3, func(c mpi.Communicator) (*Result, error) {
-		return GeoRunRank(c, sc, DefaultGeoConfig(photons, 3), RankOptions{})
+		return GeoRunRank(c, sc, DefaultConfig(photons, 3), RankOptions{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestGeoRunRankRejectsCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = inProcess(1, func(c mpi.Communicator) (*Result, error) {
-		return GeoRunRank(c, sc, DefaultGeoConfig(1000, 1), RankOptions{CheckpointEvery: 1})
+		return GeoRunRank(c, sc, DefaultConfig(1000, 1), RankOptions{CheckpointEvery: 1})
 	})
 	if err == nil {
 		t.Fatal("geo accepted checkpointing")

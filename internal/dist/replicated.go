@@ -42,9 +42,10 @@ type repPlan struct {
 }
 
 // planReplicated normalizes cfg and computes the replicated engine's
-// deterministic plan.
+// deterministic plan. Its defaults are the paper's initial 500-photon
+// batches and 4×4 sections per polygon.
 func planReplicated(scene *scenes.Scene, cfg Config) (*repPlan, error) {
-	if err := cfg.normalize(); err != nil {
+	if err := cfg.normalize(500, 4); err != nil {
 		return nil, err
 	}
 	sim, err := core.NewSimulator(scene, cfg.Core)
@@ -56,7 +57,7 @@ func planReplicated(scene *scenes.Scene, cfg Config) (*repPlan, error) {
 	// short redundant simulation whose tallies are discarded. Every rank
 	// would compute identical counts from the identical stream, so the
 	// driver computes them once on behalf of all ranks.
-	weights := prePhaseWeights(sim, cfg.Sections, defaultPrePhase(cfg.Core.Photons))
+	weights := prePhaseWeights(sim, cfg.Core.Sections, defaultPrePhase(cfg.Core.Photons))
 	var asn *loadbalance.Assignment
 	if cfg.Balance == BalanceNaive {
 		asn, err = loadbalance.Naive(weights, cfg.Ranks)
@@ -115,7 +116,7 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 	photons := p.sim.Config().Photons
 	batch := int64(p.cfg.BatchSize)
 	owners := p.asn.Owner
-	forest := bintree.NewForestSectioned(len(p.sim.Scene().Geom.Patches), p.cfg.Sections, p.sim.Config().Bin)
+	forest := bintree.NewForestSectioned(len(p.sim.Scene().Geom.Patches), p.cfg.Core.Sections, p.sim.Config().Bin)
 	r := newRankState(c, forest, owners, p.cfg.Obs)
 
 	startRound := 0

@@ -33,20 +33,22 @@ import (
 type ProgressFunc func(done, total int64)
 
 // Config is the engine-independent run configuration; engines ignore the
-// knobs that do not apply to them.
+// knobs that do not apply to them. Each knob has one meaning, and a zero
+// value takes the default of the package that implements the engine.
 type Config struct {
 	// Core carries the physics: photons, seed, split rule, sectioning.
+	// Core.Sections 0 means one tree per polygon for serial, shared and
+	// geo (core and dist apply it) and 4×4 sections for distributed (dist
+	// applies it).
 	Core core.Config
-	// Workers is the goroutine count (shared) or rank count (distributed
-	// engines); 0 means all available CPUs.
+	// Workers is the goroutine count (shared) or rank count (distributed,
+	// geo); 0 means runtime.GOMAXPROCS. Serial ignores it.
 	Workers int
-	// ChunkSize is the shared engine's work-stealing chunk granularity
-	// (0 = default).
-	ChunkSize int64
-	// BatchSize is the photons per batch: the serial and shared engines'
-	// wavefront width (photons traced abreast through one core.Wave) or
-	// the distributed engines' photons per exchange round (0 = engine
-	// default). Results are bit-identical at every batch size.
+	// BatchSize is the photons per exchange round of the distributed
+	// engines: traced between tally exchanges (distributed) or emitted
+	// per drain round (geo). 0 means dist's default, 500 and 2000. Serial
+	// and shared ignore it. Results are bit-identical at every batch size
+	// (geo: its statistics).
 	BatchSize int
 	// Balance selects the replicated-distributed forest-ownership strategy.
 	Balance dist.Balance
@@ -73,18 +75,15 @@ func (c Config) workers() int {
 // it at the top of Run, so an invalid Config fails the same way — an error,
 // never a panic and never a silent reinterpretation — regardless of which
 // parallelization strategy is selected. Zero values that mean "use the
-// default" (Workers, ChunkSize, BatchSize, Sections) remain valid; it is
-// the explicitly nonsensical values that must not slip into a worker pool
-// or rank loop.
+// default" (Workers, BatchSize, Sections) remain valid; it is the
+// explicitly nonsensical values that must not slip into a worker pool or
+// rank loop.
 func (c Config) validate() error {
 	if c.Core.Photons <= 0 {
 		return fmt.Errorf("engine: Config.Core.Photons must be positive, got %d", c.Core.Photons)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("engine: Config.Workers must be >= 0 (0 = all CPUs), got %d", c.Workers)
-	}
-	if c.ChunkSize < 0 {
-		return fmt.Errorf("engine: Config.ChunkSize must be >= 0 (0 = default), got %d", c.ChunkSize)
 	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("engine: Config.BatchSize must be >= 0 (0 = engine default), got %d", c.BatchSize)

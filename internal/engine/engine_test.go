@@ -78,7 +78,7 @@ func TestProgressReportingAllEngines(t *testing.T) {
 	for _, e := range All() {
 		var mu sync.Mutex
 		var calls []int64
-		cfg := Config{Core: core.DefaultConfig(5000), Workers: 2, ChunkSize: 256, BatchSize: 500}
+		cfg := Config{Core: core.DefaultConfig(5000), Workers: 2, BatchSize: 500}
 		cfg.Progress = func(done, total int64) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -121,7 +121,7 @@ func TestProgressReportingAllEngines(t *testing.T) {
 func TestInstrumentationPreservesConformance(t *testing.T) {
 	s := quickScene(t)
 	for _, e := range All() {
-		base := Config{Core: core.DefaultConfig(4000), Workers: 3, ChunkSize: 256, BatchSize: 500}
+		base := Config{Core: core.DefaultConfig(4000), Workers: 3, BatchSize: 500}
 
 		plain, err := e.Run(s, base)
 		if err != nil {
@@ -203,7 +203,6 @@ func TestInvalidConfigErrorsUniformly(t *testing.T) {
 		{"zero-photons", func(c *Config) { c.Core.Photons = 0 }},
 		{"negative-photons", func(c *Config) { c.Core.Photons = -5 }},
 		{"negative-workers", func(c *Config) { c.Workers = -1 }},
-		{"negative-chunk", func(c *Config) { c.ChunkSize = -64 }},
 		{"negative-batch", func(c *Config) { c.BatchSize = -500 }},
 		{"negative-sections", func(c *Config) { c.Core.Sections = -2 }},
 		{"negative-max-bounces", func(c *Config) { c.Core.MaxBounces = -1 }},

@@ -75,72 +75,63 @@ func observe(run *obs.Run, eng string, elapsed time.Duration, sol *Solution) {
 	}
 }
 
-type serialEngine struct{}
-
-func (serialEngine) Name() string { return "serial" }
-
-func (serialEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+// observed is the body every adapter shares: it validates cfg, runs trace
+// under a "simulate" span and records the uniform metrics. The clock is
+// read only when observability is on: a disabled run must cost zero clock
+// reads and zero allocations (the obsgate analyzer enforces this gate).
+func observed(name string, cfg Config, trace func() (*Solution, error)) (*Solution, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// The clock is read only when observability is on: a disabled run
-	// must cost zero clock reads and zero allocations (the obsgate
-	// analyzer enforces this gate).
 	span := cfg.Obs.StartSpan("simulate")
 	var start time.Time
 	if cfg.Obs.Enabled() {
 		start = time.Now()
 	}
-	res, err := core.RunProgress(scene, cfg.Core, cfg.BatchSize, cfg.Progress)
+	sol, err := trace()
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Result: res}
 	if cfg.Obs.Enabled() {
-		observe(cfg.Obs, "serial", time.Since(start), sol)
+		observe(cfg.Obs, name, time.Since(start), sol)
 	}
 	return sol, nil
+}
+
+type serialEngine struct{}
+
+func (serialEngine) Name() string { return "serial" }
+
+func (e serialEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+	return observed(e.Name(), cfg, func() (*Solution, error) {
+		res, err := core.RunProgress(scene, cfg.Core, core.DefaultWaveSize, cfg.Progress)
+		return &Solution{Result: res}, err
+	})
 }
 
 type sharedEngine struct{}
 
 func (sharedEngine) Name() string { return "shared" }
 
-func (sharedEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	span := cfg.Obs.StartSpan("simulate")
-	var start time.Time
-	if cfg.Obs.Enabled() {
-		start = time.Now()
-	}
-	res, err := shared.Run(scene, shared.Config{
-		Core:      cfg.Core,
-		Workers:   cfg.workers(),
-		ChunkSize: cfg.ChunkSize,
-		BatchSize: cfg.BatchSize,
-		Progress:  cfg.Progress,
-		Obs:       cfg.Obs,
+func (e sharedEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+	return observed(e.Name(), cfg, func() (*Solution, error) {
+		res, err := shared.Run(scene, shared.Config{
+			Core:     cfg.Core,
+			Workers:  cfg.workers(),
+			Progress: cfg.Progress,
+			Obs:      cfg.Obs,
+		})
+		return &Solution{Result: res}, err
 	})
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Result: res}
-	if cfg.Obs.Enabled() {
-		observe(cfg.Obs, "shared", time.Since(start), sol)
-	}
-	return sol, nil
 }
 
 type distEngine struct{}
 
 func (distEngine) Name() string { return "distributed" }
 
-func (distEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
-	return runDist("distributed", scene, cfg, dist.DefaultConfig, dist.Run)
+func (e distEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+	return runDist(e.Name(), scene, cfg, dist.Run)
 }
 
 type geoEngine struct{}
@@ -149,44 +140,28 @@ func (geoEngine) Name() string { return "geo" }
 
 // Run passes an explicit Core.Sections through like the replicated
 // adapter; dist.GeoRun refuses Sections > 1, since geo owns whole polygons.
-func (geoEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
-	return runDist("geo", scene, cfg, dist.DefaultGeoConfig, dist.GeoRun)
+func (e geoEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
+	return runDist(e.Name(), scene, cfg, dist.GeoRun)
 }
 
-// runDist is the body of both message-passing adapters: it maps cfg onto
-// the engine's defaults (an explicit Core.Sections or BatchSize wins), runs
-// the engine, and wraps its result with the distribution telemetry.
+// runDist is the body of both message-passing adapters. A zero BatchSize
+// or Core.Sections passes through as zero: run fills in its own engine's
+// defaults.
 func runDist(name string, scene *scenes.Scene, cfg Config,
-	defaults func(photons int64, ranks int) dist.Config,
 	run func(*scenes.Scene, dist.Config) (*dist.Result, error),
 ) (*Solution, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	dcfg := defaults(cfg.Core.Photons, cfg.workers())
-	dcfg.Core = cfg.Core
-	dcfg.Balance = cfg.Balance
-	if cfg.Core.Sections > 0 {
-		dcfg.Sections = cfg.Core.Sections
-	}
-	if cfg.BatchSize > 0 {
-		dcfg.BatchSize = cfg.BatchSize
-	}
-	dcfg.Progress = cfg.Progress
-	dcfg.Obs = cfg.Obs
-	span := cfg.Obs.StartSpan("simulate")
-	var start time.Time
-	if cfg.Obs.Enabled() {
-		start = time.Now()
-	}
-	res, err := run(scene, dcfg)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Result: res.Result, Dist: res}
-	if cfg.Obs.Enabled() {
-		observe(cfg.Obs, name, time.Since(start), sol)
-	}
-	return sol, nil
+	return observed(name, cfg, func() (*Solution, error) {
+		res, err := run(scene, dist.Config{
+			Core:      cfg.Core,
+			Ranks:     cfg.workers(),
+			BatchSize: cfg.BatchSize,
+			Balance:   cfg.Balance,
+			Progress:  cfg.Progress,
+			Obs:       cfg.Obs,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &Solution{Result: res.Result, Dist: res}, nil
+	})
 }

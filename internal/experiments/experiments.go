@@ -568,11 +568,12 @@ func GeoDistribution(photons int64) (*Result, error) {
 		return nil, err
 	}
 	const ranks = 8
-	repl, err := dist.Run(sc, dist.DefaultConfig(photons, ranks))
+	cfg := dist.DefaultConfig(photons, ranks)
+	repl, err := dist.Run(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
-	geo, err := dist.GeoRun(sc, dist.DefaultGeoConfig(photons, ranks))
+	geo, err := dist.GeoRun(sc, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -73,11 +73,11 @@ import (
 	"repro/internal/answer"
 	"repro/internal/bintree"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/scenegen"
 	"repro/internal/scenes"
-	"repro/internal/shared"
 	"repro/internal/vecmath"
 	"repro/internal/view"
 )
@@ -463,7 +463,7 @@ func (e *entry) simulateScene(name string, photons int64, workers int) {
 		e.err = err
 		return
 	}
-	res, err := shared.Run(sc, shared.Config{Core: core.DefaultConfig(photons), Workers: workers})
+	res, err := engine.Shared.Run(sc, engine.Config{Core: core.DefaultConfig(photons), Workers: workers})
 	if err != nil {
 		e.err = err
 		return

@@ -38,15 +38,6 @@ import (
 type Config struct {
 	Core    core.Config
 	Workers int
-	// ChunkSize is the photons per work-stealing chunk (default 512).
-	// Smaller chunks balance load more finely at the cost of more queue
-	// and merge transactions.
-	ChunkSize int64
-	// BatchSize is the photons per wavefront batch within a chunk (default
-	// core.DefaultWaveSize). Each worker traces its chunk through a private
-	// core.Wave of this width. Any width produces bit-identical results;
-	// only throughput changes.
-	BatchSize int
 	// Progress, when non-nil, receives the photons merged so far and the
 	// total. It is invoked by whichever worker holds the merge baton, in
 	// strictly increasing order of done.
@@ -166,10 +157,20 @@ func (m *merger) apply(buf []core.Tally) (splits int64) {
 	return splits
 }
 
+// chunkSize is the photons per work-stealing chunk. Smaller chunks balance
+// load more finely at the cost of more queue and merge transactions.
+const chunkSize = 512
+
 // Run executes the shared-memory simulation on the buffered, contention-free
 // path: cfg.Workers goroutines steal photon chunks, trace them lock-free
 // into private buffers, and merge in order.
 func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
+	return run(scene, cfg, chunkSize)
+}
+
+// run is Run at an explicit chunk size. Any size produces bit-identical
+// results; the package's tests sweep it to stress the merge baton.
+func run(scene *scenes.Scene, cfg Config, chunk int64) (*core.Result, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("shared: Workers must be positive, got %d", cfg.Workers)
 	}
@@ -178,10 +179,6 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 		return nil, err
 	}
 	coreCfg := sim.Config() // normalized
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 512
-	}
 	forest := bintree.NewForestSectioned(len(scene.Geom.Patches), coreCfg.Sections, coreCfg.Bin)
 	queue := &chunkQueue{
 		chunks:  (coreCfg.Photons + chunk - 1) / chunk,
@@ -212,7 +209,7 @@ func Run(scene *scenes.Scene, cfg Config) (*core.Result, error) {
 			// photon-index order — exactly what the in-order merger
 			// expects, so batching is invisible to the conformance
 			// contract.
-			wave := core.NewWave(sim, cfg.BatchSize)
+			wave := core.NewWave(sim, core.DefaultWaveSize)
 			for {
 				idx, lo, hi, ok := queue.take()
 				if !ok {

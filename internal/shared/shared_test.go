@@ -1,6 +1,7 @@
 package shared
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -88,14 +89,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ChunkSize 1 at 8 workers hands the merge baton over once per photon
+	// Chunk size 1 at 8 workers hands the merge baton over once per photon
 	// and keeps the backpressure window engaged; under -race it pins that
 	// the baton alone orders every forest write.
 	for _, c := range []struct {
 		workers int
 		chunk   int64
-	}{{2, 0}, {3, 0}, {8, 0}, {8, 1}} {
-		res, err := Run(s, Config{Core: core.DefaultConfig(5000), Workers: c.workers, ChunkSize: c.chunk})
+	}{{2, chunkSize}, {3, chunkSize}, {8, chunkSize}, {8, 1}} {
+		res, err := run(s, Config{Core: core.DefaultConfig(5000), Workers: c.workers}, c.chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,6 +106,34 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if res.Forest.Fingerprint() != ref.Forest.Fingerprint() {
 			t.Fatalf("workers=%d chunk=%d forest diverges from 1-worker forest", c.workers, c.chunk)
 		}
+	}
+}
+
+// TestChunkWaveInteraction pins the chunk geometries the worker sweep's
+// round numbers can miss, against the serial engine: chunks the
+// core.DefaultWaveSize wave straddles, chunks smaller than one wave, and
+// single-photon chunks, at a photon count that leaves ragged final chunks
+// and ragged final waves simultaneously.
+func TestChunkWaveInteraction(t *testing.T) {
+	s := quickScene(t)
+	cfg := core.DefaultConfig(3001) // prime-ish: ragged under every chunk size below
+	ref, err := core.Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int64{100, 33, 1} {
+		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
+			res, err := run(s, Config{Core: cfg, Workers: 3}, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats != ref.Stats {
+				t.Errorf("stats diverge from serial:\nshared: %+v\nserial: %+v", res.Stats, ref.Stats)
+			}
+			if res.Forest.Fingerprint() != ref.Forest.Fingerprint() {
+				t.Errorf("forest fingerprint %x != serial %x", res.Forest.Fingerprint(), ref.Forest.Fingerprint())
+			}
+		})
 	}
 }
 
@@ -126,7 +155,7 @@ func TestProgressMonotonicAndComplete(t *testing.T) {
 	s := quickScene(t)
 	var mu sync.Mutex
 	var calls []int64
-	cfg := Config{Core: core.DefaultConfig(4000), Workers: 4, ChunkSize: 250}
+	cfg := Config{Core: core.DefaultConfig(4000), Workers: 4}
 	cfg.Progress = func(done, total int64) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -135,7 +164,7 @@ func TestProgressMonotonicAndComplete(t *testing.T) {
 		}
 		calls = append(calls, done)
 	}
-	if _, err := Run(s, cfg); err != nil {
+	if _, err := run(s, cfg, 250); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) == 0 || calls[len(calls)-1] != 4000 {

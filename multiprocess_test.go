@@ -147,15 +147,8 @@ func expectJob(t *testing.T, engine string, photons int64, ranks, batch int) *di
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfg dist.Config
-	if engine == "geo" {
-		cfg = dist.DefaultGeoConfig(photons, ranks)
-	} else {
-		cfg = dist.DefaultConfig(photons, ranks)
-	}
-	if batch > 0 {
-		cfg.BatchSize = batch
-	}
+	cfg := dist.DefaultConfig(photons, ranks)
+	cfg.BatchSize = batch
 	var res *dist.Result
 	if engine == "geo" {
 		res, err = dist.GeoRun(sc, cfg)

@@ -139,13 +139,14 @@ type Config struct {
 	// Engine selects serial, shared-memory or distributed execution.
 	Engine Engine
 	// Workers is the goroutine count for EngineShared and the rank count
-	// for EngineDistributed (default 4 for both).
+	// for EngineDistributed and EngineGeo (default 4, applied here).
+	// EngineSerial ignores it.
 	Workers int
-	// BatchSize is the photons per batch: for EngineSerial and
-	// EngineShared the wavefront width — photons traced abreast, their
-	// rays intersected together each bounce (default 64); for
-	// EngineDistributed the photons per rank between all-to-all exchanges
-	// (default 500, the paper's starting size). Results are bit-identical
+	// BatchSize is the photons per exchange round of EngineDistributed
+	// (traced between all-to-all tally exchanges; default 500, the
+	// paper's starting size) and EngineGeo (emitted per drain round;
+	// default 2000). The distributed engines apply these defaults.
+	// EngineSerial and EngineShared ignore it. Results are bit-identical
 	// at every batch size; only throughput changes.
 	BatchSize int
 	// Balance selects the forest-ownership load balancing strategy
@@ -155,11 +156,14 @@ type Config struct {
 	SplitSigma float64
 	// Sections is the per-axis (s,t) section count per defining polygon
 	// (Sections² trees per polygon). 0 keeps each engine's default: one
-	// tree per polygon for serial and shared, 4×4 sections for
-	// distributed. Serial, shared and distributed runs at the same
-	// explicit Sections produce bit-identical forests; EngineGeo owns
-	// whole polygons and rejects Sections > 1.
+	// tree per polygon for serial, shared and geo, 4×4 sections for
+	// distributed; the engines apply these defaults. Serial, shared and
+	// distributed runs at the same explicit Sections produce bit-identical
+	// forests; EngineGeo owns whole polygons and rejects Sections > 1.
 	Sections int
+	// Progress, when non-nil, receives the photons finished so far and
+	// the total while the chosen engine runs.
+	Progress Progress
 }
 
 // Progress is a streaming completion callback: photons fully finished so
@@ -273,15 +277,7 @@ func SceneNames() []string { return scenes.Names() }
 func GenFamilies() []string { return scenegen.Families() }
 
 // Simulate runs the global illumination simulation and returns the answer.
-// It is a thin shim over SimulateProgress without a callback.
 func Simulate(scene *Scene, cfg Config) (*Solution, error) {
-	return SimulateProgress(scene, cfg, nil)
-}
-
-// SimulateProgress is Simulate with streaming completion callbacks:
-// progress (which may be nil) receives the photons finished so far and the
-// total while the chosen engine runs.
-func SimulateProgress(scene *Scene, cfg Config, progress Progress) (*Solution, error) {
 	if cfg.Photons <= 0 {
 		return nil, fmt.Errorf("photon: Config.Photons must be positive")
 	}
@@ -296,9 +292,7 @@ func SimulateProgress(scene *Scene, cfg Config, progress Progress) (*Solution, e
 	if cfg.SplitSigma > 0 {
 		coreCfg.Bin.SplitSigma = cfg.SplitSigma
 	}
-	if cfg.Sections > 0 {
-		coreCfg.Sections = cfg.Sections
-	}
+	coreCfg.Sections = cfg.Sections
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 4
@@ -308,7 +302,7 @@ func SimulateProgress(scene *Scene, cfg Config, progress Progress) (*Solution, e
 		Workers:   workers,
 		BatchSize: cfg.BatchSize,
 		Balance:   cfg.Balance,
-		Progress:  progress,
+		Progress:  cfg.Progress,
 	})
 	if err != nil {
 		return nil, err

@@ -28,6 +28,10 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(sc, Config{Photons: 10, Engine: Engine(99)}); err == nil {
 		t.Error("unknown engine accepted")
 	}
+	// Only zero means "engine default"; a negative Sections is an error.
+	if _, err := Simulate(sc, Config{Photons: 10, Sections: -1}); err == nil {
+		t.Error("negative Sections accepted")
+	}
 }
 
 func TestAllEnginesAgreeStatistically(t *testing.T) {

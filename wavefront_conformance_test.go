@@ -1,14 +1,15 @@
 package photon
 
-// The batch-size axis of the conformance matrix. Every engine but geo
+// The wave-width axis of the conformance matrix. Every engine but geo
 // traces through core.Wave, and the contract is that batching is invisible
-// in the answer: for every bundled scene, every batch width and every
-// worker count, stats and bin forests are bit-identical to the serial
-// engine's. This is the acceptance bar that lets the batch width be a pure
-// tuning knob — see DESIGN.md "Wavefront batching" for why identity
-// survives. Because the serial reference is itself a Wave,
-// TestPerPhotonOracleConformance holds the engines to an independent
-// oracle: a plain per-photon TracePhotonFunc loop.
+// in the answer: for every bundled scene and every wave width, stats and
+// bin forests are bit-identical. The engines trace at core.DefaultWaveSize,
+// so the width sweeps call core.RunWavefront directly; the shared engine's
+// chunk sweep lives in internal/shared (TestChunkWaveInteraction). See
+// DESIGN.md "Wavefront batching" for why identity survives. Because the
+// serial reference is itself a Wave, TestPerPhotonOracleConformance holds
+// the engines to an independent oracle: a plain per-photon
+// TracePhotonFunc loop.
 
 import (
 	"fmt"
@@ -42,7 +43,7 @@ func perPhotonOracle(t *testing.T, sc *Scene, cfg core.Config) (core.Stats, *bin
 	return stats, forest
 }
 
-// TestPerPhotonOracleConformance pins the serial engine at several
+// TestPerPhotonOracleConformance pins the serial tracer at several
 // wavefront widths and the replicated distributed engine (two ranks,
 // several exchange batch sizes) against perPhotonOracle on every bundled
 // scene: equal Stats and equal Forest.Fingerprint().
@@ -63,32 +64,37 @@ func TestPerPhotonOracleConformance(t *testing.T) {
 				wantStats, wantForest := perPhotonOracle(t, sc, coreCfg)
 				type run struct {
 					label string
-					eng   engine.Engine
-					cfg   engine.Config
+					solve func() (*core.Result, error)
 				}
 				var runs []run
 				for _, batch := range []int{0, 1, 37, 500} {
 					runs = append(runs, run{fmt.Sprintf("serial-s%d-batch%d", sections, batch),
-						engine.Serial, engine.Config{Core: coreCfg, BatchSize: batch}})
+						func() (*core.Result, error) { return core.RunWavefront(sc, coreCfg, batch) }})
 				}
 				if sections == 4 {
 					for _, batch := range []int{1, 37, 500} {
 						runs = append(runs, run{fmt.Sprintf("distributed-r2-batch%d", batch),
-							engine.Distributed, engine.Config{Core: coreCfg, Workers: 2, BatchSize: batch}})
+							func() (*core.Result, error) {
+								sol, err := engine.Distributed.Run(sc, engine.Config{Core: coreCfg, Workers: 2, BatchSize: batch})
+								if err != nil {
+									return nil, err
+								}
+								return sol.Result, nil
+							}})
 					}
 				}
 				for _, r := range runs {
-					sol, err := r.eng.Run(sc, r.cfg)
+					res, err := r.solve()
 					if err != nil {
 						t.Fatalf("%s: %v", r.label, err)
 					}
-					if sol.Stats != wantStats {
+					if res.Stats != wantStats {
 						t.Errorf("%s: stats diverge from the per-photon oracle:\ngot:    %+v\noracle: %+v",
-							r.label, sol.Stats, wantStats)
+							r.label, res.Stats, wantStats)
 					}
-					if sol.Forest.Fingerprint() != wantForest.Fingerprint() {
+					if res.Forest.Fingerprint() != wantForest.Fingerprint() {
 						t.Errorf("%s: forest fingerprint %x != oracle %x",
-							r.label, sol.Forest.Fingerprint(), wantForest.Fingerprint())
+							r.label, res.Forest.Fingerprint(), wantForest.Fingerprint())
 					}
 				}
 			}
@@ -99,7 +105,7 @@ func TestPerPhotonOracleConformance(t *testing.T) {
 // wavefrontBatchSizes spans the degenerate width (1: every packet is a
 // single ray, reducing the wavefront to the per-photon path), partial
 // final batches (16, 64 against non-multiple photon counts) and a width
-// larger than the work-stealing chunk interplay usually sees (256).
+// wider than the default (256).
 func wavefrontBatchSizes(t *testing.T) []int {
 	t.Helper()
 	if testing.Short() {
@@ -108,81 +114,53 @@ func wavefrontBatchSizes(t *testing.T) []int {
 	return []int{1, 16, 64, 256}
 }
 
-// TestWavefrontBatchConformance is the batch × workers matrix: shared
-// engine at batch {1,16,64,256} × workers {1,2,8} versus the serial
-// reference, per scene. Identical Summary (which embeds the forest
-// fingerprint) and identical Stats required — bit-identity, not closeness.
+// TestWavefrontBatchConformance is the width × workers matrix, per scene:
+// cell batchB-wW holds the serial tracer at wave width B (core.RunWavefront)
+// to the shared engine at W workers (tracing at core.DefaultWaveSize).
+// Identical Stats and forest fingerprint required — bit-identity, not
+// closeness. Each width and each worker count runs once; the cells compare.
 func TestWavefrontBatchConformance(t *testing.T) {
 	photons := int64(6000)
 	if testing.Short() {
 		photons = 2000
 	}
+	workerCounts := []int{1, 2, 8}
 	for _, sceneName := range SceneNames() {
 		sc, err := SceneByName(sceneName)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(sceneName, func(t *testing.T) {
-			refSum, refStats := runSummary(t, sc, Config{
-				Photons: photons, Engine: EngineSerial, Sections: 1})
+			coreCfg := core.DefaultConfig(photons)
+			serial := make(map[int]*core.Result)
 			for _, batch := range wavefrontBatchSizes(t) {
-				for _, workers := range []int{1, 2, 8} {
+				res, err := core.RunWavefront(sc, coreCfg, batch)
+				if err != nil {
+					t.Fatalf("serial batch %d: %v", batch, err)
+				}
+				serial[batch] = res
+			}
+			shared := make(map[int]*core.Result)
+			for _, workers := range workerCounts {
+				sol, err := engine.Shared.Run(sc, engine.Config{Core: coreCfg, Workers: workers})
+				if err != nil {
+					t.Fatalf("shared w%d: %v", workers, err)
+				}
+				shared[workers] = sol.Result
+			}
+			for _, batch := range wavefrontBatchSizes(t) {
+				for _, workers := range workerCounts {
 					t.Run(fmt.Sprintf("batch%d-w%d", batch, workers), func(t *testing.T) {
-						sum, stats := runSummary(t, sc, Config{
-							Photons: photons, Engine: EngineShared,
-							Workers: workers, BatchSize: batch, Sections: 1})
-						if stats != refStats {
-							t.Errorf("stats diverge from serial:\nbatched: %+v\nserial:  %+v",
-								stats, refStats)
+						s, w := serial[batch], shared[workers]
+						if w.Stats != s.Stats {
+							t.Errorf("stats diverge:\nshared: %+v\nserial: %+v", w.Stats, s.Stats)
 						}
-						if sum != refSum {
-							t.Errorf("summary diverges from serial:\nbatched: %+v\nserial:  %+v",
-								sum, refSum)
+						if w.Forest.Fingerprint() != s.Forest.Fingerprint() {
+							t.Errorf("forest fingerprint: shared %x != serial %x",
+								w.Forest.Fingerprint(), s.Forest.Fingerprint())
 						}
 					})
 				}
-			}
-		})
-	}
-}
-
-// TestWavefrontBatchChunkInteraction pins the awkward geometries the
-// matrix's round numbers can miss: batch widths that do not divide the
-// chunk size, chunks smaller than one batch, and photon counts leaving
-// ragged final chunks AND ragged final batches simultaneously.
-func TestWavefrontBatchChunkInteraction(t *testing.T) {
-	sc, err := SceneByName(SceneNames()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreCfg := core.DefaultConfig(3001) // prime-ish: ragged under every divisor below
-	ref, err := engine.Serial.Run(sc, engine.Config{Core: coreCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		chunk int64
-		batch int
-	}{
-		{chunk: 100, batch: 64},  // batch straddles chunk boundary
-		{chunk: 33, batch: 256},  // chunk smaller than one batch
-		{chunk: 512, batch: 100}, // non-power-of-two width
-		{chunk: 1, batch: 64},    // every chunk is a single photon
-	}
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("chunk%d-batch%d", c.chunk, c.batch), func(t *testing.T) {
-			sol, err := engine.Shared.Run(sc, engine.Config{
-				Core: coreCfg, Workers: 3, ChunkSize: c.chunk, BatchSize: c.batch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Stats != ref.Stats {
-				t.Errorf("chunk=%d batch=%d: stats diverge from serial:\nbatched: %+v\nserial:  %+v",
-					c.chunk, c.batch, sol.Stats, ref.Stats)
-			}
-			if sol.Forest.Fingerprint() != ref.Forest.Fingerprint() {
-				t.Errorf("chunk=%d batch=%d: forest fingerprint %x != serial %x",
-					c.chunk, c.batch, sol.Forest.Fingerprint(), ref.Forest.Fingerprint())
 			}
 		})
 	}
