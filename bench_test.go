@@ -179,9 +179,10 @@ func BenchmarkIntersectMrays(b *testing.B) {
 }
 
 // BenchmarkTracePhotons measures single-thread end-to-end photon tracing
-// per bundled scene through core.Run — the serial engine's core.Wave:
-// emission, octree traversal, scattering and forest tallies, nothing
-// parallel — so the photons/s column isolates the per-photon cost.
+// per bundled scene through core.Run — the serial engine's Figure 4.1
+// loop, core.Simulator.Trace: emission, octree traversal, scattering and
+// forest tallies, nothing parallel — so the photons/s column isolates the
+// per-photon cost.
 func BenchmarkTracePhotons(b *testing.B) {
 	for _, name := range benchScenes {
 		b.Run(name, func(b *testing.B) {

@@ -144,7 +144,7 @@ func perfmodelValidate(sceneName string, photons int64) error {
 	// The same comparison for the shared-memory engine's worker sweep: the
 	// chapter-6 curves were drawn for message-passing ranks, but the model's
 	// serial fraction and per-photon work terms apply to any parallelization
-	// of the trace loop, so the shared wavefront engine is validated against
+	// of the trace loop, so the shared engine is validated against
 	// them too (comm terms are zero by construction).
 	fmt.Printf("\nshared-memory scaling: %s, %d photons per run, shared engine at 1/2/4/8 workers (GOMAXPROCS=%d)\n",
 		sceneName, photons, runtime.GOMAXPROCS(0))

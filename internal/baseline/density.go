@@ -42,7 +42,7 @@ func TraceDensity(sc *scenes.Scene, photons int64, seed int64) (*DensityResult, 
 	}
 	res := &DensityResult{PerPatch: make([]int64, len(sc.Geom.Patches))}
 	var stats core.Stats
-	core.NewWave(sim, 0).Trace(0, photons, &stats, func(t core.Tally) {
+	sim.Trace(0, photons, &stats, func(t core.Tally) {
 		res.Hits = append(res.Hits, HitPoint{
 			Patch: t.Patch,
 			S:     float32(t.Point.S), T: float32(t.Point.T),

@@ -109,10 +109,10 @@ type Result struct {
 }
 
 // Simulator traces photons for one scene. After construction it is only
-// read — EmitPhoton, Interact and TracePhotonFunc keep every piece of
-// mutable state in the caller's stream, stats and deliver — so one
-// Simulator is safe to share across goroutines. The batched tracer built
-// on it is not: keep one Wave per goroutine.
+// read — Trace, EmitPhoton, Interact and TracePhotonFunc keep every piece
+// of mutable state on the stack or in the caller's stream, stats and
+// deliver — so one Simulator is safe to trace from any number of
+// goroutines at once.
 type Simulator struct {
 	scene   *scenes.Scene
 	emitter *emitter.Emitter
@@ -140,21 +140,20 @@ func (s *Simulator) Config() Config { return s.cfg }
 
 // Run executes the full simulation serially and returns the answer forest.
 func Run(scene *scenes.Scene, cfg Config) (*Result, error) {
-	return RunProgress(scene, cfg, 0, nil)
+	return RunProgress(scene, cfg, nil)
 }
 
-// RunWavefront is Run at an explicit wavefront width: batch photons per
-// Wave batch (0 selects DefaultWaveSize). The answer is bit-identical at
-// every width; only throughput changes.
-func RunWavefront(scene *scenes.Scene, cfg Config, batch int) (*Result, error) {
-	return RunProgress(scene, cfg, batch, nil)
+// RunWavefront is Run; the width is ignored. It is kept only for the
+// benchmark's layer table, which still times it under that name.
+func RunWavefront(scene *scenes.Scene, cfg Config, _ int) (*Result, error) {
+	return Run(scene, cfg)
 }
 
-// RunProgress is RunWavefront with a streaming completion callback:
-// progress (which may be nil) is invoked from the simulating goroutine with
-// the photons finished so far and the total — at most once per 4096
-// photons, and once at the end.
-func RunProgress(scene *scenes.Scene, cfg Config, batch int, progress func(done, total int64)) (*Result, error) {
+// RunProgress is Run with a streaming completion callback: progress (which
+// may be nil) is invoked from the simulating goroutine with the photons
+// finished so far and the total — once per 4096 photons, and once at the
+// end.
+func RunProgress(scene *scenes.Scene, cfg Config, progress func(done, total int64)) (*Result, error) {
 	const progressEvery = 4096
 	sim, err := NewSimulator(scene, cfg)
 	if err != nil {
@@ -167,14 +166,10 @@ func RunProgress(scene *scenes.Scene, cfg Config, batch int, progress func(done,
 			stats.BinSplits++
 		}
 	}
-	w := NewWave(sim, batch)
-	// Report on whole batches: the smallest multiple of the wave width at
-	// or above progressEvery.
-	step := (progressEvery + int64(w.size) - 1) / int64(w.size) * int64(w.size)
 	total := sim.cfg.Photons
-	for lo := int64(0); lo < total; lo += step {
-		hi := min(lo+step, total)
-		w.Trace(lo, hi, &stats, deliver)
+	for lo := int64(0); lo < total; lo += progressEvery {
+		hi := min(lo+progressEvery, total)
+		sim.Trace(lo, hi, &stats, deliver)
 		if progress != nil {
 			progress(hi, total)
 		}
@@ -187,7 +182,7 @@ func RunProgress(scene *scenes.Scene, cfg Config, batch int, progress func(done,
 
 // Tally is one bin update: the reflected (or emitted) photon's destination
 // bin and power. The distributed engine routes Tally values between ranks;
-// the serial engine applies them as each batch flushes.
+// the serial engine applies them as they are delivered.
 type Tally struct {
 	Patch int32
 	Point bintree.Point
@@ -264,11 +259,24 @@ func (s *Simulator) Interact(stream *rng.Source, f *Flight, h *geom.Hit, stats *
 	return true
 }
 
+// Trace emits photons [lo, hi) and traces each one to absorption before it
+// emits the next — the Figure 4.1 loop — updating stats and handing every
+// tally to deliver in photon-index order. Photon i draws from a stack-held
+// stream seated at PhotonStream(seed, i)'s state, so a chunk, a round or a
+// whole run traces the same photons whichever goroutine or rank calls it.
+// Every engine but geo traces through this one loop; tracing allocates
+// nothing.
+func (s *Simulator) Trace(lo, hi int64, stats *Stats, deliver func(Tally)) {
+	var stream rng.Source
+	for i := lo; i < hi; i++ {
+		stream.Reset(photonState(s.cfg.Seed, i))
+		s.TracePhotonFunc(&stream, stats, deliver)
+	}
+}
+
 // TracePhotonFunc emits one photon and traces it to absorption, handing
-// every tally to deliver and updating stats. This is the exact Figure 4.1
-// loop, one photon at a time. The engines trace through Wave, which
-// delivers the same tallies in the same order; this per-photon form is the
-// reference the conformance tests hold them to.
+// every tally to deliver and updating stats: one iteration of the Figure
+// 4.1 loop, on the caller's stream.
 func (s *Simulator) TracePhotonFunc(stream *rng.Source, stats *Stats, deliver func(Tally)) {
 	f := s.EmitPhoton(stream, stats, deliver)
 	var h geom.Hit

@@ -101,14 +101,14 @@ func Run(scene *scenes.Scene, cfg Config) (*Result, error) {
 func prePhaseWeights(sim *core.Simulator, sections int, prePhotons int64) []int64 {
 	scratch := bintree.NewForestSectioned(len(sim.Scene().Geom.Patches), sections, sim.Config().Bin)
 	var st core.Stats
-	core.NewWave(sim, 0).Trace(0, prePhotons, &st, func(t core.Tally) {
+	sim.Trace(0, prePhotons, &st, func(t core.Tally) {
 		scratch.Add(int(t.Patch), t.Point, t.Power)
 	})
 	return scratch.PhotonCounts()
 }
 
 // runRank is one rank's whole life: trace its cyclic share of the global
-// photon chunks round by round through one per-rank core.Wave, exchange
+// photon chunks round by round through core.Simulator.Trace, exchange
 // tallies after every round and apply them in rank (= photon) order,
 // checkpoint when asked, then take part in the final gather.
 func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) {
@@ -129,7 +129,7 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 
 	// Foreign tallies encoded per destination; owned tallies buffered so
 	// they can be applied at this rank's slot in the round's rank order.
-	// route is the Wave's deliver: it sees the chunk's tallies in photon
+	// route is the trace's deliver: it sees the chunk's tallies in photon
 	// order. An applied batch is recycled as next round's outbox to its sender.
 	outbox := make([][]byte, size)
 	var mine, tallies []core.Tally
@@ -142,7 +142,6 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 			r.rs.TalliesForwarded++
 		}
 	}
-	wave := core.NewWave(p.sim, 0)
 
 	for round := startRound; round < p.rounds; round++ {
 		// This round's chunk for this rank: global chunk round*size+me.
@@ -151,7 +150,7 @@ func (p *repPlan) runRank(c mpi.Communicator, opt RankOptions) (*Result, error) 
 		hi := min(photons, lo+batch)
 		traceSpan := r.spans.StartSpan("simulate/round/trace")
 		mine = mine[:0]
-		wave.Trace(lo, hi, &r.st, route)
+		p.sim.Trace(lo, hi, &r.st, route)
 		traceSpan.End()
 		if hi > lo {
 			r.rs.PhotonsTraced += hi - lo

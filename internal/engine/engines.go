@@ -105,7 +105,7 @@ func (serialEngine) Name() string { return "serial" }
 
 func (e serialEngine) Run(scene *scenes.Scene, cfg Config) (*Solution, error) {
 	return observed(e.Name(), cfg, func() (*Solution, error) {
-		res, err := core.RunProgress(scene, cfg.Core, core.DefaultWaveSize, cfg.Progress)
+		res, err := core.RunProgress(scene, cfg.Core, cfg.Progress)
 		return &Solution{Result: res}, err
 	})
 }

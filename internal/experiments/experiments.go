@@ -223,7 +223,6 @@ func Fig54Memory(maxPhotons int64) (*Result, error) {
 	}
 	forest := bintree.NewForest(len(sc.Geom.Patches), bintree.DefaultConfig())
 	deliver := func(t core.Tally) { forest.Add(int(t.Patch), t.Point, t.Power) }
-	wave := core.NewWave(sim, 0)
 	var st core.Stats
 	const points = 24
 	var xs, ys []float64
@@ -232,7 +231,7 @@ func Fig54Memory(maxPhotons int64) (*Result, error) {
 		// Photons [k·step, (k+1)·step) on their own PhotonStream substreams:
 		// each point is the forest of the first (k+1)·step photons of a
 		// core.Run at this seed.
-		wave.Trace(k*step, (k+1)*step, &st, deliver)
+		sim.Trace(k*step, (k+1)*step, &st, deliver)
 		xs = append(xs, float64((k+1)*step))
 		ys = append(ys, float64(forest.MemoryBytes())/1e6)
 	}

@@ -11,8 +11,9 @@ import (
 
 // RayPacket is a structure-of-arrays bundle of rays traced together through
 // the octree. Origins, directions and reciprocal directions live in parallel
-// slices, and the reciprocals are computed once per ray per wave rather than
-// once per Intersect call.
+// slices, and the reciprocals are computed once per ray at Append rather
+// than once per Intersect call. No engine traces packets; they are kept
+// only because the benchmark's layer table times them (geom.packet).
 type RayPacket struct {
 	Ox, Oy, Oz []float64 // origins
 	Dx, Dy, Dz []float64 // directions
@@ -60,8 +61,7 @@ type PacketScratch struct {
 // IntersectPacket finds, for every ray in the packet, the closest hit within
 // (tMin, tMax), writing hits[i]/found[i] per ray. Each ray runs through the
 // same walk as Octree.Intersect, in packet order, so the results are
-// bit-identical to calling Intersect per ray. The wavefront tracer calls it
-// once per bounce round with its whole active set.
+// bit-identical to calling Intersect per ray.
 func (o *Octree) IntersectPacket(p *RayPacket, tMin, tMax float64, hits []Hit, found []bool, s *PacketScratch) {
 	for i := 0; i < p.n; i++ {
 		found[i] = o.walk(p.Ray(i), p.Ix[i], p.Iy[i], p.Iz[i], tMin, tMax, &hits[i], &s.stack)

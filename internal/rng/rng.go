@@ -46,9 +46,9 @@ func NewFromState(state uint64) *Source {
 func (s *Source) State() uint64 { return s.state }
 
 // Reset repositions the Source at exactly state, as if freshly built by
-// NewFromState. It exists so batch tracers can keep per-photon substreams
-// in a flat []Source and reseed slots in place — one Source value per
-// wavefront slot instead of one heap allocation per photon.
+// NewFromState. It exists so the photon loop can seat each photon's
+// substream in one stack-held Source, in place of one heap allocation per
+// photon.
 func (s *Source) Reset(state uint64) { s.state = state & mask48 }
 
 // next advances the LCG one step and returns the new 48-bit state.

@@ -9,12 +9,13 @@
 // lock contention dominates. Run has no per-tree locks at all. Workers pull
 // photon chunks from a shared work-stealing queue (dynamic self-scheduling:
 // a straggler on a hard chunk never idles a finished worker, unlike a
-// static split), trace each chunk through a private core.Wave into a
-// per-worker tally buffer with no shared state touched, and hand completed
-// buffers to an in-order merger. The merger's baton is the only
-// synchronisation on the forest: one goroutine at a time holds it and
-// applies whole chunks with plain Forest.Add calls (splits happen at merge
-// time), and Run reads the forest only after every worker has exited.
+// static split), trace each chunk through the serial engine's own loop
+// (core.Simulator.Trace) into a per-worker tally buffer with no shared
+// state touched, and hand completed buffers to an in-order merger. The
+// merger's baton is the only synchronisation on the forest: one goroutine
+// at a time holds it and applies whole chunks with plain Forest.Add calls
+// (splits happen at merge time), and Run reads the forest only after every
+// worker has exited.
 //
 // Because every photon draws from its private core.PhotonStream substream
 // and chunks are merged in photon-index order, the forest Run produces is
@@ -204,25 +205,21 @@ func run(scene *scenes.Scene, cfg Config, chunk int64) (*core.Result, error) {
 		go func() {
 			defer wg.Done()
 			var st core.Stats
-			// One wavefront per worker, reused across every chunk it
-			// steals. The Wave delivers each chunk's tallies in
-			// photon-index order — exactly what the in-order merger
-			// expects, so batching is invisible to the conformance
-			// contract.
-			wave := core.NewWave(sim, core.DefaultWaveSize)
 			for {
 				idx, lo, hi, ok := queue.take()
 				if !ok {
 					break
 				}
 				// Private per-worker buffer: the trace loop touches no
-				// shared state at all. The span wraps the whole chunk —
-				// commit (which may take the merge baton) is excluded, so
-				// chunk time is pure trace time.
+				// shared state at all, and it delivers the chunk's tallies
+				// in photon-index order — exactly what the in-order merger
+				// expects. The span wraps the whole chunk — commit (which
+				// may take the merge baton) is excluded, so chunk time is
+				// pure trace time.
 				span := cfg.Obs.StartSpan("simulate/chunk")
 				buf := make([]core.Tally, 0, (hi-lo)*3)
 				deliver := func(t core.Tally) { buf = append(buf, t) }
-				wave.Trace(lo, hi, &st, deliver)
+				sim.Trace(lo, hi, &st, deliver)
 				span.End()
 				cfg.Obs.AddIndexed("worker_photons", w, float64(hi-lo))
 				m.commit(idx, hi-lo, buf)

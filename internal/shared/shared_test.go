@@ -109,12 +109,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestChunkWaveInteraction pins the chunk geometries the worker sweep's
-// round numbers can miss, against the serial engine: chunks the
-// core.DefaultWaveSize wave straddles, chunks smaller than one wave, and
-// single-photon chunks, at a photon count that leaves ragged final chunks
-// and ragged final waves simultaneously.
-func TestChunkWaveInteraction(t *testing.T) {
+// TestChunkSizeInvariance pins the chunk geometries the worker sweep's
+// round numbers can miss, against the serial engine: odd chunk sizes and
+// single-photon chunks, at a photon count that leaves a ragged final chunk
+// under every size.
+func TestChunkSizeInvariance(t *testing.T) {
 	s := quickScene(t)
 	cfg := core.DefaultConfig(3001) // prime-ish: ragged under every chunk size below
 	ref, err := core.Run(s, cfg)

@@ -139,8 +139,8 @@ type Config struct {
 	// Engine selects serial, shared-memory or distributed execution.
 	Engine Engine
 	// Workers is the goroutine count for EngineShared and the rank count
-	// for EngineDistributed and EngineGeo (default 4, applied here).
-	// EngineSerial ignores it.
+	// for EngineDistributed and EngineGeo; 0 means runtime.GOMAXPROCS and
+	// a negative count is an error. EngineSerial ignores it.
 	Workers int
 	// BatchSize is the photons per exchange round of EngineDistributed
 	// (traced between all-to-all tally exchanges; default 500, the
@@ -293,13 +293,9 @@ func Simulate(scene *Scene, cfg Config) (*Solution, error) {
 		coreCfg.Bin.SplitSigma = cfg.SplitSigma
 	}
 	coreCfg.Sections = cfg.Sections
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 	sol, err := eng.Run(scene, engine.Config{
 		Core:      coreCfg,
-		Workers:   workers,
+		Workers:   cfg.Workers,
 		BatchSize: cfg.BatchSize,
 		Balance:   cfg.Balance,
 		Progress:  cfg.Progress,

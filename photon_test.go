@@ -32,6 +32,10 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(sc, Config{Photons: 10, Sections: -1}); err == nil {
 		t.Error("negative Sections accepted")
 	}
+	// Only zero means "engine default" for Workers too.
+	if _, err := Simulate(sc, Config{Photons: 10, Engine: EngineShared, Workers: -3}); err == nil {
+		t.Error("negative Workers accepted")
+	}
 }
 
 func TestAllEnginesAgreeStatistically(t *testing.T) {
